@@ -49,6 +49,7 @@ from .filesystem import (
 from .hookchain import HookChainEngine
 from .lsm import LaminarSecurityModule, Mask, SecurityModule, chain_bakeable_hooks
 from .pipes import Pipe
+from .sched import signal_parked
 from .sockets import Network, Socket
 from .task import (
     EBADF,
@@ -1183,6 +1184,8 @@ class Kernel:
             raise SyscallError(ESRCH, f"no task {target_tid}")
         self.security.task_kill(sender, target, signum)
         target.pending_signals.append((signum, sender.tid))
+        if target.parked:
+            signal_parked(target, signum)
 
     # -- pipes ---------------------------------------------------------------------
 

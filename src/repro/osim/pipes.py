@@ -19,7 +19,9 @@ variants on top of this substrate without weakening either property:
 
 * ``version`` is a monotonic event counter bumped by **every** write
   attempt (delivered, label-dropped, or capacity-dropped) and by close.
-  A parked reader re-attempts its read only when the version moved, so
+  Each bump, made before the label check, wakes every thread on the
+  pipe's ``wait_queue`` (see :class:`~repro.osim.sched.Waitable`): a
+  parked reader re-attempts its read only after the version moved, so
   the scheduler's wakeup pattern is a function of writer *activity*
   alone — never of label verdicts.  A reader whose labels forbid the
   pipe therefore parks, wakes, and re-parks in exactly the same pattern
@@ -45,6 +47,7 @@ from typing import TYPE_CHECKING
 
 from ..core import LabelPair
 from .filesystem import Inode, InodeType
+from .sched import Waitable
 
 if TYPE_CHECKING:
     from .lsm import SecurityModule
@@ -62,14 +65,17 @@ def freeze(data) -> bytes:
     return data if type(data) is bytes else bytes(data)
 
 
-class Pipe:
-    """One pipe: a labeled inode plus a bounded message queue."""
+class Pipe(Waitable):
+    """One pipe: a labeled inode plus a bounded message queue.  Its
+    ``version`` counts write attempts and closes; each one bumps it
+    before the label check and wakes the readers parked on it."""
 
     def __init__(
         self,
         labels: LabelPair = LabelPair.EMPTY,
         capacity: int = DEFAULT_PIPE_CAPACITY,
     ) -> None:
+        super().__init__()
         self.inode = Inode(InodeType.PIPE, labels)
         self.inode.pipe = self  # type: ignore[attr-defined]
         self.capacity = capacity
@@ -79,10 +85,6 @@ class Pipe:
         #: bench harness, which play the role of an omniscient observer.
         #: O(1) state: a counter, never a log of the dropped payloads.
         self.dropped = 0
-        #: Write-activity counter for the scheduler's wait queues.  Bumped
-        #: on *every* write attempt and on close, independent of the label
-        #: verdict, so parking/wakeup behavior cannot encode a check.
-        self.version = 0
         #: Explicit hangup flag; see module docstring.
         self.closed = False
 
@@ -90,7 +92,7 @@ class Pipe:
         """Write a message.  Always appears to succeed (returns len(data));
         the message is silently dropped when the label check fails, the
         buffer is full, or the pipe has been hung up."""
-        self.version += 1
+        self.bump()
         if not lsm.pipe_write_allowed(task, self.inode):
             self.dropped += 1
             return len(data)
@@ -115,7 +117,7 @@ class Pipe:
         readers, so it is mediated exactly like a write: a closer whose
         labels forbid the pipe drops the hangup silently.  The version
         bumps either way, keeping wakeup patterns verdict-independent."""
-        self.version += 1
+        self.bump()
         if not lsm.pipe_write_allowed(task, self.inode):
             self.dropped += 1
             return

@@ -37,6 +37,25 @@ same pattern, with exactly the same syscall and hook counts, as a reader
 of a genuinely empty pipe fed by the same writer (regression-tested in
 ``tests/test_osim_sched.py``).
 
+Wait queues
+-----------
+Pipes and sockets are :class:`Waitable` channels.  Parking puts the
+thread on the channel's :class:`WaitQueue` and stamps it with the
+scheduler's next park sequence number.  Each ``version`` bump
+(:meth:`Waitable.bump`) — still unconditional, still ahead of the label
+verdict — moves every waiter to its scheduler's ready list; a fatal
+signal from :meth:`~repro.osim.kernel.Kernel.sys_kill` takes a parked
+target the same way.  Before each step the scheduler drains the ready
+list onto the run queue in park order, and the run goes on while any
+thread is runnable, parked or ready: a bump made in a body's last step
+(a direct close, a ``finally`` block's write) still wakes its reader.
+That is exactly the set and order of wakeups a rescan of every parked
+thread before every step would find, but a step now costs O(1) in the
+number of parked threads: a quiet channel is never looked at.  The
+wake set is still a function of writer activity alone: apart from a
+fatal signal, nothing but a bump moves a thread to the ready list, and
+every write attempt and close bumps, whatever the label verdict.
+
 Termination follows the kernel's discipline: a generator finishing (or
 being killed) exits the task, which drops fd references but never hangs
 up pipes — only an explicit last close of the write end does that — so
@@ -47,6 +66,7 @@ from __future__ import annotations
 
 import types
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from ..core import CapabilitySet, LabelPair
@@ -60,6 +80,8 @@ if TYPE_CHECKING:
 SIGKILL = 9
 SIGTERM = 15
 _FATAL_SIGNALS = (SIGKILL, SIGTERM)
+
+_park_order = attrgetter("park_seq")
 
 #: Default ceiling on scheduling steps for one :meth:`Scheduler.run`;
 #: a backstop against runaway generators in tests and benchmarks.
@@ -109,29 +131,84 @@ def yield_() -> tuple:
     return ("yield", None, None)
 
 
+class WaitQueue(dict):
+    """The threads parked on one channel (a pipe or a socket endpoint),
+    in park order.
+
+    A dict of ``thread -> None`` rather than a list, so a fatal signal
+    or a scheduler teardown takes one thread out in O(1).  The channel
+    owns the queue and empties it on every ``version`` bump
+    (:meth:`Waitable.bump`); nothing else ever reads the channel on the
+    scheduler's behalf."""
+
+    __slots__ = ()
+
+    def wake_all(self) -> None:
+        """Move every waiter to its scheduler's ready list."""
+        for thread in self:
+            thread.sched._unpark(thread)
+        self.clear()
+
+
+class Waitable:
+    """A channel a thread can park on: a pipe or a socket endpoint.
+
+    ``version`` counts activity on the channel.  The channel calls
+    :meth:`bump` on every write (or send) attempt and every close, before
+    any label check, so which threads wake never depends on a verdict."""
+
+    def __init__(self) -> None:
+        self.version = 0
+        #: Threads parked on this channel by a :class:`Scheduler`.
+        self.wait_queue = WaitQueue()
+
+    def bump(self) -> None:
+        """Record activity and wake every parked thread."""
+        self.version += 1
+        if self.wait_queue:
+            self.wait_queue.wake_all()
+
+
 class _Thread:
     """Scheduler-side state for one running generator."""
 
     __slots__ = (
         "task",
         "gen",
+        "sched",
         "send_value",
         "throw_exc",
         "pending_op",
-        "wait_obj",
-        "seen_version",
+        "wait_queue",
+        "park_seq",
     )
 
-    def __init__(self, task: Task, gen: Generator) -> None:
+    def __init__(self, task: Task, gen: Generator, sched: "Scheduler") -> None:
         self.task = task
         self.gen = gen
+        self.sched = sched
         self.send_value: object = None
         self.throw_exc: Optional[BaseException] = None
         #: A blocking op to re-attempt before advancing the generator
-        #: (set when a parked thread wakes).
+        #: (kept while parked, run again when a bump wakes the thread).
         self.pending_op: Optional[tuple] = None
-        self.wait_obj: object = None
-        self.seen_version: int = 0
+        #: The channel queue this thread is parked on, if any.
+        self.wait_queue: Optional[WaitQueue] = None
+        #: The scheduler's park sequence number at the last park; the
+        #: ready list drains in this order.
+        self.park_seq = 0
+
+
+def signal_parked(task: Task, signum: int) -> None:
+    """Wake ``task``'s parked threads if ``signum`` is fatal.
+
+    :meth:`Kernel.sys_kill` calls this after queueing the signal, so the
+    kill is delivered at the thread's next step instead of waiting for
+    its channel.  The thread's next step sees the fatal signal before
+    anything else, so the abandoned read is never re-attempted."""
+    if signum in _FATAL_SIGNALS:
+        for thread in list(task.parked):
+            thread.sched._dequeue(thread)
 
 
 class Scheduler:
@@ -140,7 +217,11 @@ class Scheduler:
     def __init__(self, kernel: "Kernel", trace: bool = False) -> None:
         self.kernel = kernel
         self._runq: deque[_Thread] = deque()
-        self._parked: list[_Thread] = []
+        #: Parked threads in park order (a dict for O(1) removal).
+        self._parked: dict[_Thread, None] = {}
+        #: Threads woken since the last drain, in wake order.
+        self._ready: list[_Thread] = []
+        self._park_seq = 0
         self.steps = 0
         #: Tasks still parked when :meth:`run` gave up (no writer can
         #: ever wake them).  Deliberately *not* an error: a reader of a
@@ -172,7 +253,7 @@ class Scheduler:
         gen = body(task)
         if not isinstance(gen, types.GeneratorType):
             raise TypeError(f"task body {body!r} must be a generator function")
-        self._runq.append(_Thread(task, gen))
+        self._runq.append(_Thread(task, gen, self))
         return task
 
     # -- the run loop --------------------------------------------------------
@@ -186,15 +267,15 @@ class Scheduler:
         """
         self.stuck = []
         try:
-            while self._runq or self._parked:
+            while self._runq or self._parked or self._ready:
                 self._wake_ready()
                 if not self._runq:
                     # Nobody runnable and nobody woke: every parked thread
                     # is waiting on a channel no runnable writer can touch.
-                    self.stuck = [t.task for t in self._parked]
-                    for thread in self._parked:
+                    sleepers = self._unpark_all()
+                    self.stuck = [t.task for t in sleepers]
+                    for thread in sleepers:
                         thread.gen.close()
-                    self._parked.clear()
                     break
                 if self.steps >= max_steps:
                     raise RuntimeError(
@@ -212,33 +293,50 @@ class Scheduler:
             # crashes) and the exception propagates to the harness, which
             # calls Kernel.crash()/remount().  SyscallError never reaches
             # here: _complete routes it into the issuing generator.
-            for thread in list(self._runq) + self._parked:
-                thread.gen.close()
+            threads = list(self._runq) + self._unpark_all()
             self._runq.clear()
-            self._parked.clear()
+            for thread in threads:
+                thread.gen.close()
             raise exc
         return self.stuck
 
+    def _unpark(self, thread: _Thread) -> None:
+        """Move a parked thread to the ready list (the caller has taken
+        it off its channel's queue, or is about to clear the queue)."""
+        del self._parked[thread]
+        thread.task.parked.remove(thread)
+        thread.wait_queue = None
+        self._ready.append(thread)
+
+    def _dequeue(self, thread: _Thread) -> None:
+        """Take one parked thread off its channel's queue and unpark it."""
+        del thread.wait_queue[thread]
+        self._unpark(thread)
+
+    def _unpark_all(self) -> list[_Thread]:
+        """Take every parked thread off its wait queue and return it,
+        with every woken-but-undrained one, in park order.  Run before
+        any generator is closed, so no teardown can leave a channel
+        holding a dead thread, and no ``finally`` block's write can wake
+        one."""
+        for thread in list(self._parked):
+            self._dequeue(thread)
+        sleepers = sorted(self._ready, key=_park_order)
+        self._ready.clear()
+        return sleepers
+
     def _wake_ready(self) -> None:
-        """Move parked threads whose wait channel saw activity (or whose
-        task got a fatal signal) back to the run queue, preserving park
-        order."""
-        still_parked: list[_Thread] = []
-        for thread in self._parked:
-            signaled = any(
-                signum in _FATAL_SIGNALS
-                for signum, _ in thread.task.pending_signals
-            )
-            if signaled or thread.wait_obj.version != thread.seen_version:
-                if self.trace is not None:
-                    self.trace.append(("wake", thread.task.tid))
-                thread.pending_op, thread.wait_obj = (
-                    (None, None) if signaled else (thread.pending_op, None)
-                )
-                self._runq.append(thread)
-            else:
-                still_parked.append(thread)
-        self._parked = still_parked
+        """Drain the ready list onto the run queue in park order."""
+        ready = self._ready
+        if not ready:
+            return
+        ready.sort(key=_park_order)
+        trace = self.trace
+        for thread in ready:
+            if trace is not None:
+                trace.append(("wake", thread.task.tid))
+            self._runq.append(thread)
+        ready.clear()
 
     def _step(self, thread: _Thread) -> None:
         task = thread.task
@@ -330,7 +428,7 @@ class Scheduler:
             thread.throw_exc = exc
         else:
             thread.send_value = child
-            self._runq.append(_Thread(child, body(child)))
+            self._runq.append(_Thread(child, body(child), self))
         self._runq.append(thread)
 
     def _do_read_blocking(
@@ -363,14 +461,17 @@ class Scheduler:
         else:
             self._park(thread, op, socket)
 
-    def _park(self, thread: _Thread, op: tuple, wait_obj) -> None:
-        """Put the thread to sleep until ``wait_obj.version`` moves.  The
-        attempt it just made ran the full syscall (hooks and all); on
-        wake it will run the full syscall again — parking adds no
-        security-relevant observable."""
+    def _park(self, thread: _Thread, op: tuple, channel) -> None:
+        """Put the thread to sleep on ``channel``'s wait queue until the
+        channel's ``version`` next moves.  The attempt it just made ran
+        the full syscall (hooks and all); on wake it will run the full
+        syscall again — parking adds no security-relevant observable."""
         thread.pending_op = op
-        thread.wait_obj = wait_obj
-        thread.seen_version = wait_obj.version
-        self._parked.append(thread)
+        thread.wait_queue = queue = channel.wait_queue
+        self._park_seq += 1
+        thread.park_seq = self._park_seq
+        queue[thread] = None
+        self._parked[thread] = None
+        thread.task.parked.append(thread)
         if self.trace is not None:
             self.trace.append(("park", thread.task.tid))

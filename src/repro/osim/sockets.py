@@ -15,9 +15,10 @@ Loopback connections between two labeled sockets model trusted channels
 between labeled threads of different processes.
 
 Like pipes, sockets carry a ``version`` event counter (bumped by every
-send attempt toward the endpoint and by close) so the cooperative
-scheduler's blocking ``recv`` can park and wake without its wakeup
-pattern ever depending on a label verdict.
+send attempt toward the endpoint and by close) and a wait queue that
+every bump empties, so the cooperative scheduler's blocking ``recv`` can
+park and wake without its wakeup pattern ever depending on a label
+verdict.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import TYPE_CHECKING, Optional
 from ..core import LabelPair
 from .filesystem import Inode, InodeType
 from .pipes import freeze
+from .sched import Waitable
 from .task import ENOENT, EPIPE, SyscallError
 
 if TYPE_CHECKING:
@@ -170,17 +172,17 @@ class TrafficLog(list):
         return merged
 
 
-class Socket:
-    """A connected or listening socket endpoint."""
+class Socket(Waitable):
+    """A connected or listening socket endpoint.  Its ``version`` counts
+    send attempts toward it (delivered or silently dropped) and closes
+    of either end; each one wakes the receivers parked on it."""
 
     def __init__(self, labels: LabelPair = LabelPair.EMPTY) -> None:
+        super().__init__()
         self.inode = Inode(InodeType.SOCKET, labels)
         self.inode.socket = self  # type: ignore[attr-defined]
         self.peer: Optional["Socket"] = None
         self.rx: deque[bytes] = deque()
-        #: Receive-side event counter: bumped by every send attempt toward
-        #: this endpoint (delivered or silently dropped) and by close.
-        self.version = 0
         self.closed = False
 
     def connect(self, other: "Socket") -> None:
@@ -200,7 +202,7 @@ class Socket:
         # so blocked receivers wake on activity, never on verdicts.
         from ..core import can_flow
 
-        self.peer.version += 1
+        self.peer.bump()
         if not self.peer.closed and can_flow(self.inode.labels, self.peer.inode.labels):
             self.peer.rx.append(freeze(data))
         return len(data)
@@ -215,9 +217,9 @@ class Socket:
         """Hang up this endpoint.  Both sides' blocked receivers wake: the
         closer stops receiving, the peer sees the connection end."""
         self.closed = True
-        self.version += 1
+        self.bump()
         if self.peer is not None:
-            self.peer.version += 1
+            self.peer.bump()
 
     @property
     def hungup(self) -> bool:

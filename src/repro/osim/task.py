@@ -56,6 +56,10 @@ class Task:
         self.cwd: Optional["Inode"] = None
         #: Signals delivered and not yet consumed, as (signum, sender_tid).
         self.pending_signals: list[tuple[int, int]] = []
+        #: Scheduler threads of this task parked on a channel's wait
+        #: queue, so a fatal signal can wake them (see
+        #: :func:`repro.osim.sched.signal_parked`).
+        self.parked: list = []
         #: Children created by fork, for wait/bookkeeping.
         self.children: list["Task"] = []
 
