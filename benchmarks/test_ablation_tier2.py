@@ -1,4 +1,4 @@
-"""Ablation: tiered execution — switch interpreter vs dispatch tables vs tier-2.
+"""Ablation: tiered execution — dispatch tables vs tier-2.
 
 The tier-2 template JIT (:mod:`repro.jit.tier2`) promotes hot methods to
 exec-generated Python closures with the observed label shape baked in:
@@ -8,11 +8,11 @@ instruction pairs fuse into superinstructions.  This ablation runs the
 Fig. 8 loop microbenchmarks plus two security-region application slices
 (``gradesheet``: one region sharing a helper with plain code — the
 deopt-and-clone shape; ``battleship``: two regions with distinct tags
-sharing a helper — multiple live label-shape variants) under four
+sharing a helper — multiple live label-shape variants) under three
 execution arms:
 
-* ``interp``        — the switch interpreter (``dispatch_table`` off);
-* ``table``         — precomputed per-method handler tables;
+* ``table``         — precomputed per-method handler tables (the
+  interpreter, and the equivalence reference);
 * ``tier2_nofuse``  — the template JIT with superinstruction fusion off;
 * ``tier2``         — the full tiered engine.
 
@@ -22,8 +22,8 @@ and demonstrates three things:
   counts, enforcement counters (:meth:`BarrierStats.enforcement`), and
   the audit log are byte-identical in every arm (tier-2 may change *how
   fast* a barrier runs, never what it decides);
-* **throughput** — tier-2 is at least 2x the interpreter on the Fig. 8
-  loop microbenchmarks (geometric mean), and beats the handler tables;
+* **throughput** — tier-2 beats the handler tables on the Fig. 8 loop
+  microbenchmarks (geometric mean);
 * **the guard/deopt protocol fires** — the region slices compile
   multiple per-context variants, record deopts, and never leak a
   :class:`StaleCompilationError`.
@@ -73,18 +73,16 @@ POLICY_NOFUSE = TierPolicy(
     invocation_threshold=2, backedge_threshold=8, fusion=False
 )
 
-#: arm -> (dispatch_table flag, tier policy).  ``interp`` is the plain
-#: switch interpreter; ``table`` adds the precomputed handler tables;
-#: the tier-2 arms run on top of the tables (the real tier pipeline).
-ARMS: dict[str, tuple[bool, TierPolicy | None]] = {
-    "interp": (False, None),
-    "table": (True, None),
-    "tier2_nofuse": (True, POLICY_NOFUSE),
-    "tier2": (True, POLICY),
+#: arm -> tier policy.  ``table`` is the handler-table interpreter; the
+#: tier-2 arms run on top of the tables (the real tier pipeline).
+ARMS: dict[str, TierPolicy | None] = {
+    "table": None,
+    "tier2_nofuse": POLICY_NOFUSE,
+    "tier2": POLICY,
 }
 
 #: Fig. 8 loop microbenchmarks (reduced sizes; the full-size sweep lives
-#: in test_fig8_jvm_overhead.py).  These carry the >= 2x acceptance bar.
+#: in test_fig8_jvm_overhead.py).  These carry the tier-2 throughput bar.
 FIG8_LOOPS: dict[str, tuple[str, JITConfig, dict]] = {
     "listsum": (listsum(n=200, reps=12), JITConfig.STATIC, {}),
     "sortbench": (sortbench(n=160), JITConfig.STATIC, {}),
@@ -136,41 +134,40 @@ def _run(program, policy):
 
 
 def _measure(source: str, config: JITConfig, compile_kw: dict, arm: str):
-    dispatch_table, policy = ARMS[arm]
-    with fastpath.configured(dispatch_table=dispatch_table):
-        fastpath.counters.reset()
-        program, _ = Compiler(config, **compile_kw).compile(source)
-        # First pass records observables and (for the tier-2 arms)
-        # profiles + compiles; compiled code caches on the program, so
-        # the timed passes below run against a warm code cache — the
-        # paper's "first iteration includes compilation" methodology.
-        observables, interp = _run(program, policy)
-        engine = interp._tier2
-        tier2 = None
-        if engine is not None:
-            tier2 = {
-                "compiles": engine.compiles,
-                "entries": engine.entries,
-                "deopts": engine.deopts,
-                "osr_entries": engine.osr_entries,
-                "variants": {
-                    name: sorted(str(key) for key in keys)
-                    for name, keys in sorted(engine._variants.items())
-                },
-                "fused_pairs": sum(
-                    len(compiled.fused_pairs)
-                    for compiled in program.tier2_cache.values()
-                ),
-            }
-        seconds = median_seconds(
-            lambda: _run(program, policy), trials=TRIALS, warmup=1
-        )
-        counters = fastpath.counters.snapshot()
+    policy = ARMS[arm]
+    fastpath.clear_caches()
+    fastpath.counters.reset()
+    program, _ = Compiler(config, **compile_kw).compile(source)
+    # First pass records observables and (for the tier-2 arms)
+    # profiles + compiles; compiled code caches on the program, so
+    # the timed passes below run against a warm code cache — the
+    # paper's "first iteration includes compilation" methodology.
+    observables, interp = _run(program, policy)
+    engine = interp._tier2
+    tier2 = None
+    if engine is not None:
+        tier2 = {
+            "compiles": engine.compiles,
+            "entries": engine.entries,
+            "deopts": engine.deopts,
+            "osr_entries": engine.osr_entries,
+            "variants": {
+                name: sorted(str(key) for key in keys)
+                for name, keys in sorted(engine._variants.items())
+            },
+            "fused_pairs": sum(
+                len(compiled.fused_pairs)
+                for compiled in program.tier2_cache.values()
+            ),
+        }
+    seconds = median_seconds(
+        lambda: _run(program, policy), trials=TRIALS, warmup=1
+    )
     return {
         "seconds": seconds,
         "observables": observables,
         "tier2": tier2,
-        "counters": counters,
+        "counters": fastpath.counters.snapshot(),
     }
 
 
@@ -190,7 +187,6 @@ def sweep():
 
     per_workload = {}
     for name, arms in results.items():
-        interp_s = arms["interp"]["seconds"]
         table_s = arms["table"]["seconds"]
         tier2_s = arms["tier2"]["seconds"]
         nofuse_s = arms["tier2_nofuse"]["seconds"]
@@ -201,7 +197,6 @@ def sweep():
                 arm: {"seconds": r["seconds"], "tier2": r["tier2"]}
                 for arm, r in arms.items()
             },
-            "speedup_tier2_vs_interp": interp_s / tier2_s,
             "speedup_tier2_vs_table": table_s / tier2_s,
             "fusion_speedup": nofuse_s / tier2_s,
         }
@@ -215,7 +210,7 @@ def sweep():
             tier2_counters[key] = tier2_counters.get(key, 0) + value
 
     observables_identical = all(
-        arms[arm]["observables"] == arms["interp"]["observables"]
+        arms[arm]["observables"] == arms["table"]["observables"]
         for arms in results.values()
         for arm in ARMS
     )
@@ -230,9 +225,6 @@ def sweep():
         },
         "arms": sorted(ARMS),
         "workloads": per_workload,
-        "geomean_fig8_tier2_vs_interp": _geomean(
-            [w["speedup_tier2_vs_interp"] for w in fig8]
-        ),
         "geomean_fig8_tier2_vs_table": _geomean(
             [w["speedup_tier2_vs_table"] for w in fig8]
         ),
@@ -247,23 +239,19 @@ def sweep():
     lines = [
         "Tiered-execution ablation (Fig. 8 loops + region app slices)",
         "",
-        f"{'workload':<12} {'interp':>9} {'table':>9} {'nofuse':>9} "
-        f"{'tier2':>9} {'vs interp':>10} {'vs table':>9}",
+        f"{'workload':<12} {'table':>9} {'nofuse':>9} "
+        f"{'tier2':>9} {'vs table':>9}",
     ]
     for name, w in per_workload.items():
         arms = w["arms"]
         lines.append(
-            f"{name:<12} {arms['interp']['seconds']:>9.4f} "
-            f"{arms['table']['seconds']:>9.4f} "
+            f"{name:<12} {arms['table']['seconds']:>9.4f} "
             f"{arms['tier2_nofuse']['seconds']:>9.4f} "
             f"{arms['tier2']['seconds']:>9.4f} "
-            f"{w['speedup_tier2_vs_interp']:>9.2f}x "
             f"{w['speedup_tier2_vs_table']:>8.2f}x"
         )
     lines += [
         "",
-        f"geomean tier-2 vs interpreter (Fig. 8 loops): "
-        f"{payload['geomean_fig8_tier2_vs_interp']:.2f}x",
         f"geomean tier-2 vs handler tables (Fig. 8 loops): "
         f"{payload['geomean_fig8_tier2_vs_table']:.2f}x",
         f"geomean fusion contribution (Fig. 8 loops): "
@@ -280,7 +268,7 @@ def test_observables_identical_across_tiers(sweep):
     the same results, audit bytes, and barrier totals."""
     results, payload = sweep
     for name, arms in results.items():
-        reference = arms["interp"]["observables"]
+        reference = arms["table"]["observables"]
         for arm, r in arms.items():
             assert r["observables"] == reference, (
                 f"{name}: arm {arm} changed an observable outcome"
@@ -288,15 +276,8 @@ def test_observables_identical_across_tiers(sweep):
     assert payload["observables_identical"] is True
 
 
-def test_tier2_doubles_interpreter_throughput(sweep):
-    """The acceptance bar: >= 2x the interpreter on the Fig. 8 loop
-    microbenchmarks (geometric mean)."""
-    _, payload = sweep
-    assert payload["geomean_fig8_tier2_vs_interp"] >= 2.0
-
-
 def test_tier2_beats_dispatch_tables(sweep):
-    """Tier 2 must earn its keep over tier 1, not just over the switch."""
+    """Tier 2 must earn its keep over the handler-table interpreter."""
     _, payload = sweep
     assert payload["geomean_fig8_tier2_vs_table"] > 1.0
 
@@ -334,4 +315,3 @@ def test_json_report_written(sweep):
     assert payload["benchmark"] == "jit_tier_ablation"
     assert set(payload["workloads"]) == set(WORKLOADS)
     assert payload["observables_identical"] is True
-    assert payload["geomean_fig8_tier2_vs_interp"] >= 2.0

@@ -27,8 +27,12 @@ Programs under test mark their secret with a placeholder (default
 the two candidate values, builds each variant with the same compiler
 configuration, runs both under a fresh kernel/VM (with id counters
 reset so heap/audit identifiers are byte-comparable), and diffs the
-observables.  Execution modes cover the whole stack: the reference
-interpreter, the threaded exec tables, and the tier-2 template JIT.
+observables.  Execution modes (:data:`MODES`) cover both execution
+tiers: ``interp`` runs the handler-table interpreter alone; ``tables``
+compiles with ``tier="jit"``, so the handler tables run with the tier-2
+engine attached at the default :class:`~repro.jit.tier2.TierPolicy`
+thresholds (only methods that get that hot are promoted); ``tier2``
+promotes everything at once.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ from ..runtime.vm import LaminarVM
 #: Placeholder substituted with the secret value in assembler sources.
 SECRET_PLACEHOLDER = "@SECRET@"
 
-#: Execution modes the oracle sweeps.
+#: Execution modes the oracle sweeps: handler tables alone (``interp``),
+#: handler tables with the tier-2 engine at its default thresholds
+#: (``tables``), and tier 2 with every method hot (``tier2``).
 MODES = ("interp", "tables", "tier2")
 
 #: Everything is hot, so tier-2 actually runs on small test programs.

@@ -1,31 +1,24 @@
-"""Fast-path switches and counters for the label-check hot path.
+"""Fast-path switches, caches and counters for the label-check hot path.
 
 The paper's performance story (Section 5.1) rests on labels being
 immutable objects that are "freely shared between objects, security
 regions, and threads", which makes barrier checks cheap comparisons.
-This module is the control plane for the reproduction's equivalent:
-four independently switchable cache layers, each exploiting that
-immutability, plus the counters the ablation benchmark reads.
+The VM-side fast paths built on that fact are structural, with no
+switch:
 
-Layers (each a boolean on :data:`flags`):
+* hash-consed :class:`~repro.core.labels.Label` construction (one
+  canonical instance per tag-set, up to ``labels._INTERN_BOUND``) plus
+  memoized ``union``/``difference``;
+* the bounded flow-verdict cache of :mod:`repro.core.rules`, keyed on
+  the four component labels, which every VM barrier and the OS
+  security module consult.  It never needs invalidation: labels are
+  immutable, so a (source, dest) pair's verdict can never change;
+* the interpreter's per-method handler tables (:mod:`repro.jit.interpreter`).
 
-``label_interning``
-    Hash-consed :class:`~repro.core.labels.Label` construction — one
-    canonical instance per tag-set — enabling identity-based ``==`` /
-    ``is_subset_of`` fast paths and memoized ``union``/``difference``.
-``flow_verdict_cache``
-    A bounded access-vector cache for the Section 3.2 flow rules in
-    :mod:`repro.core.rules`, keyed on the four component labels.  It
-    never needs invalidation: labels are immutable, so a (source, dest)
-    pair's verdict can never change.
-``thread_barrier_cache``
-    A per-thread verdict cache in :mod:`repro.runtime.barriers`, keyed
-    on the label pairs and guarded by the thread's *label epoch*
-    (bumped on region entry/exit and kernel label changes).
-``dispatch_table``
-    The IR interpreter's precomputed per-method handler tables
-    (:mod:`repro.jit.interpreter`) replacing per-instruction opcode
-    dispatch.
+This module owns the caches' common flush (:func:`clear_caches`), the
+counters the benchmarks read, and the two OS-side switches on
+:data:`flags`:
+
 ``path_walk_cache``
     The kernel's per-task path-walk verdict cache
     (:meth:`repro.osim.kernel.Kernel._walk_checked`): a successful
@@ -35,23 +28,26 @@ Layers (each a boolean on :data:`flags`):
     revalidated against the traversed inodes' label identities and the
     kernel's namespace generation, so relabels, unlinks, and label
     changes can never resurrect a stale allow.
+``hook_chain_compile``
+    Hot (walk prefix, permission hook) chains baked into exec-generated
+    closures (:mod:`repro.osim.hookchain`).
 
-All layers are pure performance: verdicts, audit entries, and violation
-counts are identical with every combination of switches (asserted by
-``tests/test_property_fastpath.py`` and the ablation benchmark).
+Every fast path is pure performance: verdicts, audit entries, and
+violation counts are identical with caches warm, cold, or switched off
+(asserted by ``tests/test_property_fastpath.py``).
 
 Counters deliberately distinguish *requested* checks (which the
 :class:`~repro.runtime.barriers.BarrierStats` counters keep tracking
 unconditionally) from *executed* set algebra — the work the caches
-elide.  ``counters.set_ops`` is the ablation's primary metric.
+elide (``counters.set_ops``).
 
 The tier-2 template JIT (:mod:`repro.jit.tier2`) is not a flag here — it
 is enabled per-program via ``Compiler(tier="jit")`` — but its code cache
 registers a :func:`register_cache` hook: every :func:`configure` /
 :func:`clear_caches` bumps the tier-2 code epoch, discarding compiled
-bodies whose baked-in assumptions (interned label identities, cache-layer
-switches) may no longer hold.  Its ``tier2_*`` counters live here so the
-benchmark snapshots carry them.
+bodies whose baked-in interned label identities may no longer be
+canonical.  Its ``tier2_*`` counters live here so the benchmark
+snapshots carry them.
 """
 
 from __future__ import annotations
@@ -63,12 +59,8 @@ from typing import Callable, Iterator
 
 @dataclass
 class FastPathFlags:
-    """The independently switchable cache layers (all on by default)."""
+    """The OS-side switchable cache layers (both on by default)."""
 
-    label_interning: bool = True
-    flow_verdict_cache: bool = True
-    thread_barrier_cache: bool = True
-    dispatch_table: bool = True
     path_walk_cache: bool = True
     #: Tier-2 for the OS: bake hot (walk prefix, permission hook) chains
     #: into exec-generated closures (:mod:`repro.osim.hookchain`).
@@ -192,11 +184,3 @@ def configured(**switches: bool) -> Iterator[FastPathFlags]:
     finally:
         configure(**saved)
 
-
-def all_off() -> dict[str, bool]:
-    """Switch settings disabling every layer (the ablation baseline)."""
-    return {name: False for name in flags.as_dict()}
-
-
-def all_on() -> dict[str, bool]:
-    return {name: True for name in flags.as_dict()}

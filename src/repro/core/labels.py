@@ -14,7 +14,7 @@ a sorted array of 64-bit integers holds the tags, and because the objects
 are immutable they can be freely shared between objects, security regions,
 and threads (Section 5.1).  This module mirrors that design and pushes the
 immutability one step further: construction is *hash-consed* (one canonical
-``Label`` instance per tag-set, see :mod:`repro.core.fastpath`), so the
+``Label`` instance per tag-set, up to :data:`_INTERN_BOUND`), so the
 common case of ``==`` and ``is_subset_of`` is a pointer comparison, and
 ``union``/``difference`` results are memoized — sound precisely because a
 label can never change after construction.  A :class:`Label` keeps both the
@@ -40,8 +40,8 @@ _INTERN: dict[tuple, "Label"] = {}
 _INTERN_BOUND = 1 << 16
 
 #: Memo tables for the two hottest binary operations.  Keys are (self, other)
-#: Label pairs — value-hashed, so they are sound even when interning is off —
-#: and bounded with wholesale flush on overflow, AVC-style.
+#: Label pairs — value-hashed, so they are sound for labels past the intern
+#: bound too — and bounded with wholesale flush on overflow, AVC-style.
 _UNION_MEMO: dict[tuple, "Label"] = {}
 _DIFF_MEMO: dict[tuple, "Label"] = {}
 _MEMO_BOUND = 1 << 12
@@ -99,17 +99,16 @@ class Label:
         set-algebra call sites produce normalized tuples by construction,
         so re-validating them on every ``union`` was pure overhead.
         """
-        if fastpath.flags.label_interning:
-            cached = _INTERN.get(tags)
-            if cached is not None:
-                counters.intern_hits += 1
-                return cached
-            counters.intern_misses += 1
+        cached = _INTERN.get(tags)
+        if cached is not None:
+            counters.intern_hits += 1
+            return cached
+        counters.intern_misses += 1
         self = object.__new__(cls)
         self._tags = tags
         self._frozen = frozenset(tags)
         self._hash = hash(tags)
-        if fastpath.flags.label_interning and len(_INTERN) < _INTERN_BOUND:
+        if len(_INTERN) < _INTERN_BOUND:
             _INTERN[tags] = self
         return self
 
@@ -165,14 +164,12 @@ class Label:
             return self
         if not self._tags:
             return other
-        memoize = fastpath.flags.label_interning
-        if memoize:
-            key = (self, other)
-            cached = _UNION_MEMO.get(key)
-            if cached is not None:
-                counters.memo_hits += 1
-                return cached
-            counters.memo_misses += 1
+        key = (self, other)
+        cached = _UNION_MEMO.get(key)
+        if cached is not None:
+            counters.memo_hits += 1
+            return cached
+        counters.memo_misses += 1
         if self.is_subset_of(other):
             result = other
         elif other.is_subset_of(self):
@@ -182,10 +179,9 @@ class Label:
             result = Label._from_normalized(
                 tuple(sorted(self._frozen | other._frozen))
             )
-        if memoize:
-            if len(_UNION_MEMO) >= _MEMO_BOUND:
-                _UNION_MEMO.clear()
-            _UNION_MEMO[key] = result
+        if len(_UNION_MEMO) >= _MEMO_BOUND:
+            _UNION_MEMO.clear()
+        _UNION_MEMO[key] = result
         return result
 
     def intersection(self, other: "Label") -> "Label":
@@ -207,23 +203,20 @@ class Label:
             return Label.EMPTY
         if not other._tags:
             return self
-        memoize = fastpath.flags.label_interning
-        if memoize:
-            key = (self, other)
-            cached = _DIFF_MEMO.get(key)
-            if cached is not None:
-                counters.memo_hits += 1
-                return cached
-            counters.memo_misses += 1
+        key = (self, other)
+        cached = _DIFF_MEMO.get(key)
+        if cached is not None:
+            counters.memo_hits += 1
+            return cached
+        counters.memo_misses += 1
         counters.materializations += 1
         theirs = other._frozen
         result = Label._from_normalized(
             tuple(tag for tag in self._tags if tag not in theirs)
         )
-        if memoize:
-            if len(_DIFF_MEMO) >= _MEMO_BOUND:
-                _DIFF_MEMO.clear()
-            _DIFF_MEMO[key] = result
+        if len(_DIFF_MEMO) >= _MEMO_BOUND:
+            _DIFF_MEMO.clear()
+        _DIFF_MEMO[key] = result
         return result
 
     def with_tag(self, tag: Tag) -> "Label":

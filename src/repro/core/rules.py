@@ -72,24 +72,21 @@ fastpath.register_cache(_clear_verdicts)
 
 def flow_verdict(source: LabelPair, dest: LabelPair) -> int:
     """Evaluate (or recall) the Section 3.2 verdict for ``source -> dest``."""
-    cache = fastpath.flags.flow_verdict_cache
-    if cache:
-        key = (source.secrecy, source.integrity, dest.secrecy, dest.integrity)
-        verdict = _VERDICTS.get(key)
-        if verdict is not None:
-            counters.verdict_hits += 1
-            return verdict
-        counters.verdict_misses += 1
+    key = (source.secrecy, source.integrity, dest.secrecy, dest.integrity)
+    verdict = _VERDICTS.get(key)
+    if verdict is not None:
+        counters.verdict_hits += 1
+        return verdict
+    counters.verdict_misses += 1
     if not secrecy_allows(source.secrecy, dest.secrecy):
         verdict = FLOW_SECRECY_FAIL
     elif not integrity_allows(source.integrity, dest.integrity):
         verdict = FLOW_INTEGRITY_FAIL
     else:
         verdict = FLOW_OK
-    if cache:
-        if len(_VERDICTS) >= _VERDICT_BOUND:
-            _VERDICTS.clear()
-        _VERDICTS[key] = verdict
+    if len(_VERDICTS) >= _VERDICT_BOUND:
+        _VERDICTS.clear()
+    _VERDICTS[key] = verdict
     return verdict
 
 

@@ -22,16 +22,18 @@ Region methods execute inside ``vm.region(...)`` built from the method's
 :class:`~repro.jit.ir.RegionSpec`; the static region checker has already
 guaranteed they return nothing.
 
-Execution tiers.  :meth:`Interpreter._execute` dispatches either through
-the plain switch loop (tier 0) or per-method handler tables (tier 1,
-``fastpath.flags.dispatch_table``).  Handler tables are built once per
-*program* — not per interpreter — and cached on it keyed by the program's
-shape stamp; everything owned by one interpreter/VM (heap, stats, statics,
-the executing thread) reaches the shared closures through an
-:class:`ExecContext`.  When the program carries a
+Execution tiers.  :meth:`Interpreter._execute` runs per-method handler
+tables (tier 1): one closure per instruction with its operands already
+decoded.  Handler tables are built once per *program* — not per
+interpreter — and cached on it keyed by the program's shape stamp;
+everything owned by one interpreter/VM (heap, stats, statics, the
+executing thread) reaches the shared closures through an
+:class:`ExecContext`.  A ``verify_static`` interpreter builds its own
+tables instead, with the static-barrier fast paths unbound, so every
+barrier goes through the context assertion.  When the program carries a
 :class:`~repro.jit.tier2.TierPolicy` (``Compiler(tier="jit")`` /
 ``lamc --tier2``), a :class:`~repro.jit.tier2.Tier2Engine` profiles method
-invocations here and back-edges in both dispatch loops, and promotes hot
+invocations here and back-edges in the dispatch loop, and promotes hot
 methods to exec-compiled Python specialized to the observed label shape
 (tier 2); see :mod:`repro.jit.tier2` for the guard/deopt protocol.
 """
@@ -40,8 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..core import LabelPair, RegionViolation, VMPanic, fastpath
-from ..runtime.barriers import cached_check_flow
+from ..core import LabelPair, RegionViolation, VMPanic, check_flow
 from ..runtime.vm import LaminarVM
 from .ir import BarrierFlavor, Instr, Method, Opcode, Program, RegionSpec
 
@@ -145,7 +146,7 @@ class ExecContext:
     it, so anything owned by one interpreter/VM — heap, stats, statics,
     the executing thread — travels through this object instead of being
     closed over at table-build time.  ``thread`` is maintained by
-    :meth:`Interpreter._execute_table` exactly like the old thread cell.
+    :meth:`Interpreter._execute`.
     """
 
     __slots__ = (
@@ -164,7 +165,9 @@ class ExecContext:
         self.thread = None
 
 
-def build_handler_table(method: Method, program: Program) -> dict[str, list]:
+def build_handler_table(
+    method: Method, program: Program, verify_static: bool = False
+) -> dict[str, list]:
     """Bind one handler closure per instruction, at method load.
 
     Operand decoding, opcode dispatch, field-list lookups, and BINOP
@@ -176,7 +179,17 @@ def build_handler_table(method: Method, program: Program) -> dict[str, list]:
     method's identity); everything else is baked.  Handlers receive
     ``(regs, ctx)`` where ``ctx`` is the executing interpreter's
     :class:`ExecContext`.
+
+    Static barriers run their compiled-in variant inline, matched
+    against the flavors bound as handler defaults.  ``verify_static``
+    binds those to ``None`` instead, so every barrier falls through to
+    :meth:`Interpreter._barrier` and its context assertion.
     """
+    if verify_static:
+        static_in = static_out = None
+    else:
+        static_in = BarrierFlavor.STATIC_IN
+        static_out = BarrierFlavor.STATIC_OUT
     table: dict[str, list] = {}
     for block_label, block in method.blocks.items():
         handlers: list = []
@@ -226,48 +239,49 @@ def build_handler_table(method: Method, program: Program) -> dict[str, list]:
                 def h(regs, ctx, name=ops[0], v=ops[1]):
                     ctx.statics[name] = regs[v]
             elif op is Opcode.READBAR:
-                def h(regs, ctx, r=ops[0], instr=instr):
+                def h(regs, ctx, r=ops[0], instr=instr,
+                      static_in=static_in, static_out=static_out):
                     stats = ctx.stats
                     stats.read_barriers += 1
                     flavor = instr.flavor
-                    if flavor is BarrierFlavor.STATIC_OUT:
+                    if flavor is static_out:
                         stats.space_checks += 1
                         if ctx.labeled(regs[r].header):
                             raise RegionViolation(_OUT_OF_REGION_MSG)
-                    elif flavor is BarrierFlavor.STATIC_IN:
+                    elif flavor is static_in:
                         stats.label_checks += 1
-                        thread = ctx.thread
-                        cached_check_flow(
-                            thread, regs[r].header.labels, thread.labels,
-                            stats, context="IR read",
+                        check_flow(
+                            regs[r].header.labels, ctx.thread.labels,
+                            context="IR read",
                         )
                     else:
                         ctx.interp._barrier(instr, regs[r].header, is_read=True)
             elif op is Opcode.WRITEBAR:
-                def h(regs, ctx, r=ops[0], instr=instr):
+                def h(regs, ctx, r=ops[0], instr=instr,
+                      static_in=static_in, static_out=static_out):
                     stats = ctx.stats
                     stats.write_barriers += 1
                     flavor = instr.flavor
-                    if flavor is BarrierFlavor.STATIC_OUT:
+                    if flavor is static_out:
                         stats.space_checks += 1
                         if ctx.labeled(regs[r].header):
                             raise RegionViolation(_OUT_OF_REGION_MSG)
-                    elif flavor is BarrierFlavor.STATIC_IN:
+                    elif flavor is static_in:
                         stats.label_checks += 1
-                        thread = ctx.thread
-                        cached_check_flow(
-                            thread, thread.labels, regs[r].header.labels,
-                            stats, context="IR write",
+                        check_flow(
+                            ctx.thread.labels, regs[r].header.labels,
+                            context="IR write",
                         )
                     else:
                         ctx.interp._barrier(instr, regs[r].header, is_read=False)
             elif op is Opcode.ALLOCBAR:
-                def h(regs, ctx, r=ops[0], instr=instr):
+                def h(regs, ctx, r=ops[0], instr=instr,
+                      static_in=static_in, static_out=static_out):
                     ctx.stats.alloc_barriers += 1
                     flavor = instr.flavor
-                    if flavor is BarrierFlavor.STATIC_IN:
+                    if flavor is static_in:
                         ctx.heap.label_fresh(regs[r].header, ctx.thread.labels)
-                    elif flavor is not BarrierFlavor.STATIC_OUT:
+                    elif flavor is not static_out:
                         ctx.interp._alloc_barrier(instr, regs[r].header)
             elif op is Opcode.SREADBAR:
                 def h(regs, ctx, name=ops[0], instr=instr):
@@ -342,6 +356,11 @@ class Interpreter:
         #: Per-interpreter state handed to the program-cached handler
         #: tables and tier-2 compiled bodies.
         self.ctx = ExecContext(self)
+        #: The handler tables this interpreter runs: the program's shared
+        #: cache, or (verify_static) a private one whose static barriers
+        #: all assert their context.
+        self._tables = {} if verify_static else program.exec_tables
+        self._tables_stamp = -1
         #: Tier-2 engine, when the program was compiled ``tier="jit"`` (or
         #: a TierPolicy was passed explicitly).  Never active in
         #: verify_static mode: verification is about observing *stale*
@@ -366,20 +385,21 @@ class Interpreter:
     # -- entry point ------------------------------------------------------------
 
     def run(self, method_name: str = "main", *args: Any) -> Any:
-        engine = self._tier2
-        if (
-            fastpath.flags.dispatch_table or engine is not None
-        ) and not self.verify_static:
-            # IR passes mutate methods in place but never *during* a run,
-            # so validating once per entry suffices: if the program's shape
-            # changed since the caches were built, rebuild them lazily.
-            stamp = self.program.shape_stamp()
-            if stamp != self.program.exec_tables_stamp:
-                self.program.exec_tables.clear()
-                self.program.exec_tables_stamp = stamp
-            if engine is not None:
-                engine.validate(stamp)
-        method = self.program.method(method_name)
+        # IR passes mutate methods in place but never *during* a run, so
+        # validating once per entry suffices: if the program's shape
+        # changed since the caches were built, rebuild them lazily.
+        program = self.program
+        stamp = program.shape_stamp()
+        if self.verify_static:
+            if stamp != self._tables_stamp:
+                self._tables.clear()
+                self._tables_stamp = stamp
+        elif stamp != program.exec_tables_stamp:
+            program.exec_tables.clear()
+            program.exec_tables_stamp = stamp
+        if self._tier2 is not None:
+            self._tier2.validate(stamp)
+        method = program.method(method_name)
         return self._call(method, list(args))
 
     # -- calls -------------------------------------------------------------------
@@ -421,168 +441,18 @@ class Interpreter:
     # -- the dispatch loop ----------------------------------------------------------
 
     def _execute(self, method: Method, args: list[Any]) -> Any:
-        if fastpath.flags.dispatch_table and not self.verify_static:
-            return self._execute_table(method, args)
-        return self._execute_switch(method, args)
-
-    def _execute_switch(self, method: Method, args: list[Any]) -> Any:
-        regs: dict[str, Any] = dict(zip(method.params, args))
-        label = method.entry
-        assert label is not None
-        heap = self.vm.heap
-        barrier_stats = self.vm.barriers.stats
-        # Static barriers execute as straight-line code in the dispatch
-        # loop (the compiled-in variant); only dynamic barriers go through
-        # the dispatching helper.  This mirrors the machine-code shapes the
-        # two strategies produce.
-        # In verify_static mode the fast paths are disabled so every static
-        # barrier funnels through _barrier's context assertion.
-        static_in = None if self.verify_static else BarrierFlavor.STATIC_IN
-        static_out = None if self.verify_static else BarrierFlavor.STATIC_OUT
-        labeled = heap.is_labeled
-        thread = self.vm.current_thread
-        osr = self._tier2.osr_probe(method) if self._tier2 is not None else None
-        while True:
-            block = method.blocks[label]
-            jumped = False
-            for instr in block.instrs:
-                self.executed += 1
-                op = instr.op
-                ops = instr.operands
-                if op is Opcode.CONST:
-                    regs[ops[0]] = ops[1]
-                elif op is Opcode.MOV:
-                    regs[ops[0]] = regs[ops[1]]
-                elif op is Opcode.BINOP:
-                    regs[ops[0]] = _BINOPS[ops[1]](regs[ops[2]], regs[ops[3]])
-                elif op is Opcode.UNOP:
-                    regs[ops[0]] = _UNOPS[ops[1]](regs[ops[2]])
-                elif op is Opcode.NEW:
-                    fields = dict.fromkeys(self.program.classes[ops[1]], 0)
-                    header = heap.allocate_header(LabelPair.EMPTY)
-                    regs[ops[0]] = IRObject(header, ops[1], fields)
-                elif op is Opcode.NEWARRAY:
-                    header = heap.allocate_header(LabelPair.EMPTY)
-                    regs[ops[0]] = IRArray(header, [0] * regs[ops[1]])
-                elif op is Opcode.GETFIELD:
-                    regs[ops[0]] = regs[ops[1]].fields[ops[2]]
-                elif op is Opcode.PUTFIELD:
-                    regs[ops[0]].fields[ops[1]] = regs[ops[2]]
-                elif op is Opcode.ALOAD:
-                    regs[ops[0]] = regs[ops[1]].items[regs[ops[2]]]
-                elif op is Opcode.ASTORE:
-                    regs[ops[0]].items[regs[ops[1]]] = regs[ops[2]]
-                elif op is Opcode.ARRAYLEN:
-                    regs[ops[0]] = len(regs[ops[1]].items)
-                elif op is Opcode.GETSTATIC:
-                    regs[ops[0]] = self.statics.get(ops[1], 0)
-                elif op is Opcode.PUTSTATIC:
-                    self.statics[ops[0]] = regs[ops[1]]
-                elif op is Opcode.READBAR:
-                    barrier_stats.read_barriers += 1
-                    flavor = instr.flavor
-                    if flavor is static_out:
-                        # compiled-in out-of-region variant: one membership
-                        # test against the labeled object space.
-                        barrier_stats.space_checks += 1
-                        if labeled(regs[ops[0]].header):
-                            self._static_violation(flavor)
-                    elif flavor is static_in:
-                        # compiled-in in-region variant: label comparison,
-                        # served from the per-thread verdict cache.
-                        barrier_stats.label_checks += 1
-                        header = regs[ops[0]].header
-                        cached_check_flow(
-                            thread, header.labels, thread.labels,
-                            barrier_stats, context="IR read",
-                        )
-                    else:
-                        self._barrier(instr, regs[ops[0]].header, is_read=True)
-                elif op is Opcode.WRITEBAR:
-                    barrier_stats.write_barriers += 1
-                    flavor = instr.flavor
-                    if flavor is static_out:
-                        barrier_stats.space_checks += 1
-                        if labeled(regs[ops[0]].header):
-                            self._static_violation(flavor)
-                    elif flavor is static_in:
-                        barrier_stats.label_checks += 1
-                        header = regs[ops[0]].header
-                        cached_check_flow(
-                            thread, thread.labels, header.labels,
-                            barrier_stats, context="IR write",
-                        )
-                    else:
-                        self._barrier(instr, regs[ops[0]].header, is_read=False)
-                elif op is Opcode.ALLOCBAR:
-                    barrier_stats.alloc_barriers += 1
-                    flavor = instr.flavor
-                    if flavor is static_in:
-                        heap.label_fresh(regs[ops[0]].header, thread.labels)
-                    elif flavor is not static_out:
-                        self._alloc_barrier(instr, regs[ops[0]].header)
-                elif op is Opcode.SREADBAR:
-                    barrier_stats.read_barriers += 1
-                    self._static_barrier(instr, ops[0], is_read=True)
-                elif op is Opcode.SWRITEBAR:
-                    barrier_stats.write_barriers += 1
-                    self._static_barrier(instr, ops[0], is_read=False)
-                elif op is Opcode.CALL:
-                    dst, callee = ops[0], ops[1]
-                    call_args = [regs[a] for a in ops[2:]]
-                    result = self._call(self.program.method(callee), call_args)
-                    if dst is not None:
-                        regs[dst] = result
-                elif op is Opcode.PRINT:
-                    self.output.append(regs[ops[0]])
-                elif op is Opcode.SPAWN:
-                    regs[ops[0]] = self._spawn(
-                        ops[1], [regs[a] for a in ops[2:]]
-                    )
-                elif op is Opcode.JOIN:
-                    self._join(regs[ops[0]])
-                elif op in (Opcode.LOCK, Opcode.UNLOCK):
-                    regs[ops[0]]  # markers for the static race detector
-                elif op is Opcode.RET:
-                    value = ops[0]
-                    return regs[value] if value is not None else None
-                elif op is Opcode.JMP:
-                    label = ops[0]
-                    jumped = True
-                    break
-                elif op is Opcode.BR:
-                    label = ops[1] if regs[ops[0]] else ops[2]
-                    jumped = True
-                    break
-                else:  # pragma: no cover - exhaustive
-                    raise AssertionError(f"unhandled opcode {op}")
-            if not jumped:
-                # normalize() guarantees a terminator, so this is unreachable
-                # unless a pass broke the method.
-                raise AssertionError(f"block {label} fell off the end")
-            if osr is not None:
-                # On-stack replacement: a hot back-edge promotes the rest
-                # of this invocation to the tier-2 compiled body.
-                done = osr(label, regs)
-                if done is not None:
-                    return done[0]
-
-    # -- table-mode execution ----------------------------------------------------------
-
-    def _execute_table(self, method: Method, args: list[Any]) -> Any:
         """Run one method through its precomputed handler table.
 
-        Same semantics and counter behavior as :meth:`_execute_switch`,
-        minus the per-instruction decode: each handler is a closure with
-        its operands (register names, bound functions, baked field lists)
-        already resolved.  Handlers return ``None`` to fall through to the
-        next instruction, a block label to jump, or ``(_RET, value)``.
+        Each handler is a closure with its operands (register names,
+        bound functions, baked field lists) already resolved.  Handlers
+        return ``None`` to fall through to the next instruction, a block
+        label to jump, or ``(_RET, value)``.
         """
         program = self.program
-        table = program.exec_tables.get(method.name)
+        table = self._tables.get(method.name)
         if table is None:
-            table = build_handler_table(method, program)
-            program.exec_tables[method.name] = table
+            table = build_handler_table(method, program, self.verify_static)
+            self._tables[method.name] = table
             program.table_builds += 1
         regs: dict[str, Any] = dict(zip(method.params, args))
         label = method.entry
@@ -653,9 +523,6 @@ class Interpreter:
             )
         return expected
 
-    def _static_violation(self, flavor: Optional[BarrierFlavor]) -> None:
-        raise RegionViolation(_OUT_OF_REGION_MSG)
-
     def _barrier(self, instr: Instr, header: Any, is_read: bool) -> None:
         stats = self.vm.barriers.stats
         in_region = self._context_for(instr.flavor)
@@ -663,15 +530,9 @@ class Interpreter:
             stats.label_checks += 1
             thread = self.vm.current_thread
             if is_read:
-                cached_check_flow(
-                    thread, header.labels, thread.labels, stats,
-                    context="IR read",
-                )
+                check_flow(header.labels, thread.labels, context="IR read")
             else:
-                cached_check_flow(
-                    thread, thread.labels, header.labels, stats,
-                    context="IR write",
-                )
+                check_flow(thread.labels, header.labels, context="IR write")
         else:
             stats.space_checks += 1
             if self.vm.heap.is_labeled(header):
@@ -692,15 +553,9 @@ class Interpreter:
         if in_region:
             stats.label_checks += 1
             if is_read:
-                cached_check_flow(
-                    thread, labels, thread.labels, stats,
-                    context=f"static {name}",
-                )
+                check_flow(labels, thread.labels, context=f"static {name}")
             else:
-                cached_check_flow(
-                    thread, thread.labels, labels, stats,
-                    context=f"static {name}",
-                )
+                check_flow(thread.labels, labels, context=f"static {name}")
         else:
             stats.space_checks += 1
             if not labels.is_empty:

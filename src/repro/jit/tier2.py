@@ -6,11 +6,11 @@ by cloning or by dynamic barriers — when the compiled assumption goes
 stale.  This module reproduces that adaptive layer as a tiered execution
 engine over the mini-JIT IR:
 
-Tier 0/1 (:mod:`repro.jit.interpreter`)
-    The switch loop and the per-method handler tables.  With a
-    :class:`Tier2Engine` attached they also *profile*: method invocations
-    are counted at :meth:`Tier2Engine.call`, back-edges at the jump
-    points of both dispatch loops.
+Tier 1 (:mod:`repro.jit.interpreter`)
+    The per-method handler tables.  With a :class:`Tier2Engine` attached
+    they also *profile*: method invocations are counted at
+    :meth:`Tier2Engine.call`, back-edges at the jump points of the
+    dispatch loop.
 
 Tier 2 (this module)
     A hot method's IR is translated to one Python function (``exec``'d
@@ -50,8 +50,7 @@ Cache invalidation
     module-wide *code epoch* bumped by every
     :func:`repro.core.fastpath.clear_caches` /
     :func:`~repro.core.fastpath.configure` — compiled bodies bake interned
-    label identities and cache-layer assumptions, so a fastpath
-    reconfiguration discards them wholesale.
+    label identities, so a fastpath flush discards them wholesale.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..core import LabelPair, RegionViolation, fastpath
-from ..runtime.barriers import cached_check_flow
+from ..core import LabelPair, RegionViolation, check_flow, fastpath
 from .cloning import clone_variant
 from .interpreter import _BINOPS, IRArray, IRObject, Interpreter
 from .ir import BarrierFlavor, Method, Opcode, Program, RegionSpec
@@ -91,7 +89,7 @@ _CERT_KEY = ("cert",)
 # -- code epoch ---------------------------------------------------------------
 
 #: Bumped whenever the fastpath caches flush: compiled bodies bake interned
-#: LabelPair identities and cache-layer assumptions, so they die with them.
+#: LabelPair identities, so they die with them.
 _CODE_EPOCH = 1
 
 
@@ -316,7 +314,7 @@ class _Codegen:
             "_TL": thread_labels,
             "_EMPTY": LabelPair.EMPTY,
             "_RV": RegionViolation,
-            "_cflow": cached_check_flow,
+            "_cflow": check_flow,
             "_IRObject": IRObject,
             "_IRArray": IRArray,
         }
@@ -402,13 +400,11 @@ class _Codegen:
             lines.append("_stats.label_checks += 1")
             if is_read:
                 lines.append(
-                    f"_cflow(_thread, {r}.header.labels, _TL, _stats, "
-                    f"context='IR read')"
+                    f"_cflow({r}.header.labels, _TL, context='IR read')"
                 )
             else:
                 lines.append(
-                    f"_cflow(_thread, _TL, {r}.header.labels, _stats, "
-                    f"context='IR write')"
+                    f"_cflow(_TL, {r}.header.labels, context='IR write')"
                 )
             self.prologue.add("_stats")
         else:
@@ -447,11 +443,11 @@ class _Codegen:
             ctxstr = f"static {name}"
             if is_read:
                 lines.append(
-                    f"_cflow(_thread, _sl, _TL, _stats, context={ctxstr!r})"
+                    f"_cflow(_sl, _TL, context={ctxstr!r})"
                 )
             else:
                 lines.append(
-                    f"_cflow(_thread, _TL, _sl, _stats, context={ctxstr!r})"
+                    f"_cflow(_TL, _sl, context={ctxstr!r})"
                 )
         else:
             msg = (
@@ -663,7 +659,7 @@ class _Codegen:
             "_method": "ctx.program.method",
             "_slabels": "ctx.interp.static_labels",
         }
-        src = [f"def _t2(ctx, _thread, regs, _entry):"]
+        src = [f"def _t2(ctx, regs, _entry):"]
         for name in sorted(self.prologue):
             src.append(f"    {name} = {prologue_map[name]}")
         if self.locals:
@@ -787,7 +783,7 @@ class Tier2Engine:
         if compiled is None:
             return self.interp._call_cold(method, args)
         return self._enter(
-            compiled, thread, dict(zip(method.params, args)),
+            compiled, dict(zip(method.params, args)),
             compiled.entry_index[method.entry],
         )
 
@@ -825,17 +821,17 @@ class Tier2Engine:
                 interp._execute(method, args)
             else:
                 self._enter(
-                    compiled, thread, dict(zip(method.params, args)),
+                    compiled, dict(zip(method.params, args)),
                     compiled.entry_index[method.entry],
                 )
         return None
 
-    def _enter(self, compiled: CompiledMethod, thread, regs, entry: int) -> Any:
+    def _enter(self, compiled: CompiledMethod, regs, entry: int) -> Any:
         stats = self.interp.vm.barriers.stats
         stats.tier2_entries += 1
         fastpath.counters.tier2_entries += 1
         self.entries += 1
-        return compiled.fn(self.interp.ctx, thread, regs, entry)
+        return compiled.fn(self.interp.ctx, regs, entry)
 
     def _maybe_compile(
         self, method: Method, key: tuple, profile: MethodProfile
@@ -955,9 +951,7 @@ class Tier2Engine:
                     return None
             self.osr_entries += 1
             fastpath.counters.tier2_osr_entries += 1
-            result = self._enter(
-                compiled, thread, regs, compiled.entry_index[label]
-            )
+            result = self._enter(compiled, regs, compiled.entry_index[label])
             return (result,)
 
         return probe

@@ -33,52 +33,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..core import (
-    LabelPair,
-    RegionViolation,
-    check_flow,
-    fastpath,
-)
+from ..core import LabelPair, RegionViolation, check_flow
 from .heap import Heap, ObjectHeader
 from .threads import SimThread
-
-#: Entry bound for each thread's verdict cache.  In-region working sets
-#: touch a handful of distinct label pairs, so a small bound suffices; on
-#: overflow new verdicts simply go unrecorded (never wrong, only slower).
-THREAD_FLOW_CACHE_BOUND = 256
-
-
-def cached_check_flow(
-    thread: SimThread,
-    source: LabelPair,
-    dest: LabelPair,
-    stats: "BarrierStats",
-    context: str = "",
-) -> None:
-    """``check_flow`` through the per-thread verdict cache.
-
-    Successful verdicts are cached under the thread's current label epoch;
-    the epoch (bumped on region entry/exit and kernel label changes)
-    guards the cache, so a thread can never reuse a verdict proven under
-    different labels.  Violations are never cached: the failure path must
-    recompute diagnostics anyway, and denials are rare by construction.
-    """
-    if not fastpath.flags.thread_barrier_cache:
-        check_flow(source, dest, context=context)
-        return
-    epoch = thread.label_epoch
-    cache = thread._flow_cache
-    if thread._flow_cache_epoch != epoch:
-        cache.clear()
-        thread._flow_cache_epoch = epoch
-    key = (source, dest)
-    if cache.get(key):
-        stats.flow_cache_hits += 1
-        return
-    stats.flow_cache_misses += 1
-    check_flow(source, dest, context=context)
-    if len(cache) < THREAD_FLOW_CACHE_BOUND:
-        cache[key] = True
 
 
 class BarrierMode(enum.Enum):
@@ -105,13 +62,6 @@ class BarrierStats:
     label_checks: int = 0
     #: Fast unlabeled-space membership tests (out-of-region accesses).
     space_checks: int = 0
-    #: Per-thread barrier-verdict cache traffic (label checks served
-    #: without re-evaluating the flow rules / checks that had to go to
-    #: the rules layer).  ``label_checks`` keeps counting *requested*
-    #: checks regardless, so Figures 8/9 stay comparable across cache
-    #: configurations.
-    flow_cache_hits: int = 0
-    flow_cache_misses: int = 0
     #: Tier-2 execution accounting (the tiered engine of repro.jit.tier2):
     #: entries into exec-compiled method bodies and entry-guard misses that
     #: fell back to the interpreter.  These describe *which engine ran*,
@@ -126,8 +76,6 @@ class BarrierStats:
         self.dynamic_dispatches = 0
         self.label_checks = 0
         self.space_checks = 0
-        self.flow_cache_hits = 0
-        self.flow_cache_misses = 0
         self.tier2_entries = 0
         self.tier2_deopts = 0
 
@@ -139,10 +87,10 @@ class BarrierStats:
         """The cross-tier comparable counters.
 
         Every field describing what *enforcement* observed — barrier
-        executions, context dispatches, label/space checks, verdict-cache
-        traffic — which must be identical whichever execution tier ran
-        the code.  Excludes the ``tier2_*`` engine accounting, which is
-        legitimately nonzero only when tier-2 code ran.
+        executions, context dispatches, label/space checks — which must
+        be identical whichever execution tier ran the code.  Excludes the
+        ``tier2_*`` engine accounting, which is legitimately nonzero only
+        when tier-2 code ran.
         """
         return {
             "read_barriers": self.read_barriers,
@@ -151,8 +99,6 @@ class BarrierStats:
             "dynamic_dispatches": self.dynamic_dispatches,
             "label_checks": self.label_checks,
             "space_checks": self.space_checks,
-            "flow_cache_hits": self.flow_cache_hits,
-            "flow_cache_misses": self.flow_cache_misses,
         }
 
 
@@ -180,10 +126,7 @@ class BarrierEngine:
         in_region = self._context(thread)
         if in_region:
             self.stats.label_checks += 1
-            cached_check_flow(
-                thread, header.labels, thread.labels, self.stats,
-                context=f"read {what}",
-            )
+            check_flow(header.labels, thread.labels, context=f"read {what}")
         else:
             self.stats.space_checks += 1
             if self.heap.is_labeled(header):
@@ -200,10 +143,7 @@ class BarrierEngine:
         in_region = self._context(thread)
         if in_region:
             self.stats.label_checks += 1
-            cached_check_flow(
-                thread, thread.labels, header.labels, self.stats,
-                context=f"write {what}",
-            )
+            check_flow(thread.labels, header.labels, context=f"write {what}")
         else:
             self.stats.space_checks += 1
             if self.heap.is_labeled(header):
@@ -237,10 +177,7 @@ class BarrierEngine:
             self.stats.label_checks += 1
             # Writing initial state into the new object is a flow from the
             # thread to the object.
-            cached_check_flow(
-                thread, thread.labels, labels, self.stats,
-                context=f"alloc {what}",
-            )
+            check_flow(thread.labels, labels, context=f"alloc {what}")
         return self.heap.allocate_header(labels)
 
     # -- context dispatch ---------------------------------------------------------

@@ -57,15 +57,6 @@ class BenchSpec:
 
 SPECS: tuple[BenchSpec, ...] = (
     BenchSpec(
-        file="BENCH_label_cache.json",
-        ratio_fields=("speedup_all_on",),
-        exact_fields=(
-            "observables_identical",
-            "configs.all_on.set_ops",
-            "configs.all_off.set_ops",
-        ),
-    ),
-    BenchSpec(
         file="BENCH_os_throughput.json",
         ratio_fields=("batched_speedup",),
         exact_fields=(
@@ -184,10 +175,7 @@ SPECS: tuple[BenchSpec, ...] = (
     ),
     BenchSpec(
         file="BENCH_jit_tier.json",
-        ratio_fields=(
-            "geomean_fig8_tier2_vs_interp",
-            "geomean_fig8_tier2_vs_table",
-        ),
+        ratio_fields=("geomean_fig8_tier2_vs_table",),
         exact_fields=("observables_identical",),
     ),
 )

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from _pytest.outcomes import OutcomeException
 
 from repro.core import CapabilitySet, Label, LabelPair, Tag, fastpath
 from repro.osim import Kernel, LaminarSecurityModule, NullSecurityModule
 from repro.runtime import BarrierMode, LaminarAPI, LaminarVM
+from repro.runtime.regions import SecurityRegion
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +26,32 @@ def _fastpath_isolation():
     yield
     fastpath.clear_caches()
     fastpath.counters.reset()
+
+
+@pytest.fixture(autouse=True)
+def _region_swallowed_failures(monkeypatch):
+    """Fail a test whose assertion a security region swallowed.
+
+    ``SecurityRegion.__exit__`` suppresses every exception (Section
+    4.3.3), including ``AssertionError`` and pytest's outcome exceptions,
+    so a failing ``assert`` inside ``with vm.region(...)`` would pass
+    silently.  Record the ones a region swallows and fail the test at
+    teardown; region semantics are unchanged.
+    """
+    swallowed: list[BaseException] = []
+    region_exit = SecurityRegion.__exit__
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, (AssertionError, OutcomeException)):
+            swallowed.append(exc)
+        return region_exit(self, exc_type, exc, tb)
+
+    monkeypatch.setattr(SecurityRegion, "__exit__", __exit__)
+    yield
+    if swallowed:
+        pytest.fail(
+            f"a security region swallowed {swallowed[0]!r}", pytrace=False
+        )
 
 
 @pytest.fixture

@@ -114,7 +114,6 @@ class TestDirectorySweep:
         """The CLI checks the real registry, so exercise it with the real
         tier-ablation snapshot name."""
         payload = {
-            "geomean_fig8_tier2_vs_interp": 4.0,
             "geomean_fig8_tier2_vs_table": 2.0,
             "observables_identical": True,
         }
@@ -127,7 +126,7 @@ class TestDirectorySweep:
         assert main([str(committed), str(fresh)], out=out) == 0
         assert "ok" in out.getvalue()
 
-        regressed = dict(payload, geomean_fig8_tier2_vs_interp=1.1)
+        regressed = dict(payload, geomean_fig8_tier2_vs_table=1.1)
         (fresh / "BENCH_jit_tier.json").write_text(json.dumps(regressed))
         out = io.StringIO()
         assert main([str(committed), str(fresh)], out=out) == 1
@@ -147,7 +146,7 @@ class TestRegistry:
 
     def test_registry_gates_the_tier_ablation(self):
         spec = {s.file: s for s in SPECS}["BENCH_jit_tier.json"]
-        assert "geomean_fig8_tier2_vs_interp" in spec.ratio_fields
+        assert spec.ratio_fields == ("geomean_fig8_tier2_vs_table",)
         assert "observables_identical" in spec.exact_fields
 
     def test_registry_gates_the_cluster_snapshot(self):

@@ -1,16 +1,18 @@
-"""The fast-path layers: interning, verdict caches, epochs, dispatch tables.
+"""The label fast paths: interning, the verdict cache, dispatch tables.
 
-Each cache must be individually switchable through
-:mod:`repro.core.fastpath`, must never change a security verdict, and must
-be invalidated (or be invalidation-free by construction) exactly as its
-soundness argument requires.  These are the fast tier-1 smoke tests; the
-randomized equivalence sweep lives in ``test_property_fastpath.py`` and
-the quantitative ablation in ``benchmarks/test_ablation_label_cache.py``.
+Interning, the ``union``/``difference`` memo, the flow-verdict cache and
+the interpreter's handler tables are structural (no switch); the OS-side
+layers stay switchable through :mod:`repro.core.fastpath`.  None may
+change a security verdict, and each must be invalidation-free by
+construction or invalidated exactly as its soundness argument requires.
+These are the fast tier-1 smoke tests; the randomized warm-vs-cold
+sweep lives in ``test_property_fastpath.py``.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -22,14 +24,17 @@ from repro.core import (
     CapabilitySet,
     Label,
     LabelPair,
-    LabelType,
+    LaminarError,
     check_flow,
     fastpath,
     flow_verdict,
+    labels,
 )
-from repro.jit import Interpreter, JITConfig, compile_source
-from repro.osim import Kernel
+from repro.jit import Compiler, Interpreter, JITConfig, TierPolicy, compile_source
+from repro.osim import Kernel, LaminarSecurityModule
+from repro.osim.filesystem import Inode
 from repro.runtime import LaminarAPI, LaminarVM
+from repro.runtime.heap import ObjectHeader
 
 
 class TestInterning:
@@ -50,14 +55,6 @@ class TestInterning:
         assert Label.of(a, b).intersection(Label.of(b, c)) is Label.of(b)
         assert Label.of(a).with_tag(b) is Label.of(a, b)
         assert Label.of(a, b).without_tag(b) is Label.of(a)
-
-    def test_interning_off_still_value_equal(self, tags):
-        a, b, _ = tags
-        with fastpath.configured(label_interning=False):
-            x, y = Label.of(a, b), Label.of(b, a)
-            assert x is not y
-            assert x == y
-            assert x.union(Label.of(a)) == Label.of(a, b)
 
     def test_validating_constructor_rejects_non_tags(self):
         with pytest.raises(TypeError):
@@ -84,6 +81,163 @@ class TestInterning:
         assert LabelPair.EMPTY.is_empty
 
 
+REGION_SRC = """
+class Cell { v }
+
+method touch(o, x) {
+entry:
+  putfield o, v, x
+  getfield y, o, v
+  ret y
+}
+
+region method work(b) secrecy(alpha) {
+entry:
+  const i, 0
+  new c, Cell
+loop:
+  const lim, 12
+  binop cond, lt, i, lim
+  br cond, body, done
+body:
+  call y, touch, c, i
+  print y
+  const one, 1
+  binop i, add, i, one
+  jmp loop
+done:
+  putfield b, v, i
+  ret
+}
+
+method main() {
+entry:
+  new b, Cell
+  const j, 0
+  const z, 0
+outer:
+  const lim, 6
+  binop cond, lt, j, lim
+  br cond, obody, odone
+obody:
+  call _, work, b
+  const k, 5
+  call z, touch, b, k
+  const one, 1
+  binop j, add, j, one
+  jmp outer
+odone:
+  ret z
+}
+"""
+
+
+class TestPastInternBound:
+    """Past ``labels._INTERN_BOUND``, labels are simply not interned.
+
+    They are fresh instances compared and hashed by value, and every
+    fast path built on interning — the memo, the verdict cache, tier-2's
+    label-shape keys — must give them the verdicts and values it gives
+    canonical instances.
+    """
+
+    @staticmethod
+    def _past_bound(monkeypatch):
+        """Flush the caches, then cap the intern table at its current
+        size: every label built after this is a fresh instance."""
+        fastpath.clear_caches()
+        monkeypatch.setattr(labels, "_INTERN_BOUND", len(labels._INTERN))
+
+    def test_past_bound_labels_are_value_equal(self, tags, monkeypatch):
+        a, b, _ = tags
+        bound = labels._INTERN_BOUND
+        self._past_bound(monkeypatch)
+        past, again = Label.of(a, b), Label.of(b, a)
+        assert past is not again
+        monkeypatch.setattr(labels, "_INTERN_BOUND", bound)
+        interned = Label.of(a, b)
+        assert interned is Label.of(b, a)
+        assert past is not interned
+        assert past == interned and hash(past) == hash(interned)
+        assert LabelPair(past) == LabelPair(interned)
+        assert hash(LabelPair(past)) == hash(LabelPair(interned))
+        assert {interned: "hit"}[past] == "hit"
+
+    @staticmethod
+    def _algebra(tags) -> list:
+        """Every verdict and value the label fast paths serve, over a
+        small label universe, with the caches cold."""
+        fastpath.clear_caches()
+        universe = [
+            Label.of(*combo)
+            for n in range(len(tags) + 1)
+            for combo in itertools.combinations(tags, n)
+        ]
+        pairs = [LabelPair(s, i) for s in universe[:4] for i in universe[:4]]
+        observed: list = []
+        for x, y in itertools.product(universe, repeat=2):
+            observed.append(("union", x.union(y).tags()))
+            observed.append(("difference", x.difference(y).tags()))
+        for src, dst in itertools.product(pairs, repeat=2):
+            observed.append(("verdict", flow_verdict(src, dst)))
+            try:
+                check_flow(src, dst, context="probe")
+                observed.append(("check", None))
+            except LaminarError as exc:
+                observed.append(("check", type(exc).__name__, str(exc)))
+        return observed
+
+    def test_past_bound_verdicts_and_values_match_interned(
+        self, tags, monkeypatch
+    ):
+        interned = self._algebra(tags)
+        self._past_bound(monkeypatch)
+        assert Label.of(*tags) is not Label.of(*tags), "bound not in force"
+        assert self._algebra(tags) == interned
+
+    @staticmethod
+    def _run_region_program(policy) -> dict:
+        Inode._ino_counter = itertools.count(1)
+        ObjectHeader._oid_counter = itertools.count(1)
+        program, _ = Compiler(JITConfig.DYNAMIC, inline=False).compile(
+            REGION_SRC
+        )
+        kernel = Kernel(LaminarSecurityModule())
+        vm = LaminarVM(kernel)
+        vm.current_thread.gain_capabilities(
+            CapabilitySet.dual(*program.tags.values())
+        )
+        interp = Interpreter(program, vm, tier2=policy)
+        result = interp.run("main")
+        return {
+            "result": result,
+            "output": tuple(interp.output),
+            "executed": interp.executed,
+            "enforcement": vm.barriers.stats.enforcement(),
+            "audit": tuple(str(e) for e in kernel.audit.entries()),
+            "tier2_entries": vm.barriers.stats.tier2_entries,
+        }
+
+    def test_past_bound_region_program_same_on_tables_and_tier2(
+        self, monkeypatch
+    ):
+        hot = TierPolicy(
+            invocation_threshold=2, backedge_threshold=4,
+            deopt_recompile_threshold=2,
+        )
+        reference = self._run_region_program(None)
+        self._past_bound(monkeypatch)
+        tables = self._run_region_program(None)
+        tier2 = self._run_region_program(hot)
+        assert tier2.pop("tier2_entries") > 0, "tier 2 never ran"
+        assert tables.pop("tier2_entries") == 0
+        reference.pop("tier2_entries")
+        assert tables == reference
+        assert tier2 == reference
+        # The region body's escaping write was denied and audited.
+        assert any("suppressed" in line for line in reference["audit"])
+
+
 class TestFlowVerdictCache:
     def test_repeat_checks_hit(self, tags):
         a, _, _ = tags
@@ -102,88 +256,50 @@ class TestFlowVerdictCache:
         assert flow_verdict(secret, LabelPair.EMPTY) == FLOW_SECRECY_FAIL
         assert flow_verdict(LabelPair.EMPTY, low_integrity) == FLOW_INTEGRITY_FAIL
 
-    def test_cache_off_reevaluates_rules(self, tags):
+    def test_cleared_cache_reevaluates_rules(self, tags):
         a, _, _ = tags
         src = LabelPair(Label.of(a))
         dst = LabelPair(Label.of(a))
-        with fastpath.configured(flow_verdict_cache=False):
-            check_flow(src, dst)
-            before = fastpath.counters.rule_evaluations
-            check_flow(src, dst)
-            assert fastpath.counters.rule_evaluations > before
+        check_flow(src, dst)
+        before = fastpath.counters.rule_evaluations
+        check_flow(src, dst)
+        assert fastpath.counters.rule_evaluations == before
+        fastpath.clear_caches()
+        check_flow(src, dst)
+        assert fastpath.counters.rule_evaluations > before
+
+    def test_repeat_barrier_checks_hit(self, vm):
+        """VM barriers go straight to the verdict cache: a repeated
+        in-region check is one dict hit, and every requested check is
+        still counted."""
+        api = LaminarAPI(vm)
+        tag = api.create_and_add_capability("t")
+        stats = vm.barriers.stats
+        with vm.region(secrecy=Label.of(tag), caps=CapabilitySet.dual(tag)):
+            thread = vm.current_thread
+            header = vm.barriers.alloc_barrier(thread, LabelPair(Label.of(tag)))
+            vm.barriers.read_barrier(thread, header)
+            hits = fastpath.counters.verdict_hits
+            checks = stats.label_checks
+            vm.barriers.read_barrier(thread, header)
+            vm.barriers.read_barrier(thread, header)
+            assert fastpath.counters.verdict_hits == hits + 2
+            assert stats.label_checks == checks + 2
 
     def test_configure_rejects_unknown_switch(self):
         with pytest.raises(ValueError):
             fastpath.configure(warp_drive=True)
 
     def test_configured_restores_flags(self):
-        assert fastpath.flags.flow_verdict_cache
-        with fastpath.configured(flow_verdict_cache=False):
-            assert not fastpath.flags.flow_verdict_cache
-        assert fastpath.flags.flow_verdict_cache
+        assert fastpath.flags.path_walk_cache
+        with fastpath.configured(path_walk_cache=False):
+            assert not fastpath.flags.path_walk_cache
+        assert fastpath.flags.path_walk_cache
 
-
-class TestThreadBarrierCache:
-    def _labeled_header(self, vm, label):
-        return vm.barriers.alloc_barrier(
-            vm.current_thread, LabelPair(label)
-        )
-
-    def test_repeat_barrier_checks_hit(self, vm):
-        api = LaminarAPI(vm)
-        tag = api.create_and_add_capability("t")
-        stats = vm.barriers.stats
-        with vm.region(secrecy=Label.of(tag), caps=CapabilitySet.dual(tag)):
-            thread = vm.current_thread
-            header = self._labeled_header(vm, Label.of(tag))
-            vm.barriers.read_barrier(thread, header)
-            hits = stats.flow_cache_hits
-            vm.barriers.read_barrier(thread, header)
-            vm.barriers.read_barrier(thread, header)
-            assert stats.flow_cache_hits == hits + 2
-
-    def test_region_reentry_invalidates(self, vm):
-        """Identical labels, fresh region: the epoch moved, so the first
-        check must MISS — a cached verdict may never survive a region
-        boundary, even one that restores the same label values."""
-        api = LaminarAPI(vm)
-        tag = api.create_and_add_capability("t")
-        stats = vm.barriers.stats
-        region_args = dict(secrecy=Label.of(tag), caps=CapabilitySet.dual(tag))
-        with vm.region(**region_args):
-            thread = vm.current_thread
-            header = self._labeled_header(vm, Label.of(tag))
-            vm.barriers.read_barrier(thread, header)
-        epoch_outside = thread.label_epoch
-        with vm.region(**region_args):
-            assert thread.label_epoch != epoch_outside
-            misses = stats.flow_cache_misses
-            vm.barriers.read_barrier(thread, header)
-            assert stats.flow_cache_misses == misses + 1
-
-    def test_kernel_label_change_bumps_epoch(self, kernel):
-        vm = LaminarVM(kernel)
-        thread = vm.main_thread
-        tag, _ = kernel.sys_alloc_tag(vm.main_task, "t")
-        before = thread.label_epoch
-        kernel.sys_set_task_label(
-            vm.main_task, LabelType.SECRECY, Label.of(tag)
-        )
-        assert thread.label_epoch > before
-
-    def test_cache_off_always_rechecks(self, vm):
-        api = LaminarAPI(vm)
-        tag = api.create_and_add_capability("t")
-        stats = vm.barriers.stats
-        with fastpath.configured(thread_barrier_cache=False):
-            with vm.region(secrecy=Label.of(tag), caps=CapabilitySet.dual(tag)):
-                thread = vm.current_thread
-                header = self._labeled_header(vm, Label.of(tag))
-                vm.barriers.read_barrier(thread, header)
-                vm.barriers.read_barrier(thread, header)
-            assert stats.flow_cache_hits == 0
-            assert stats.flow_cache_misses == 0
-            assert stats.label_checks >= 3
+    def test_only_os_switches_remain(self):
+        assert set(fastpath.flags.as_dict()) == {
+            "path_walk_cache", "hook_chain_compile",
+        }
 
 
 WORKLOAD = """
@@ -239,23 +355,24 @@ done:
 
 
 class TestDispatchTable:
-    def _run(self, cfg=JITConfig.STATIC):
+    def _run(self, cfg=JITConfig.STATIC, verify_static=False):
         program, _ = compile_source(WORKLOAD, cfg)
         vm = LaminarVM(Kernel())
-        interp = Interpreter(program, vm)
+        interp = Interpreter(program, vm, verify_static=verify_static)
         result = interp.run("main")
         return result, list(interp.output), interp.executed, vm.barriers.stats
 
-    def test_table_and_switch_agree(self):
+    def test_verify_static_agrees_on_every_config(self):
+        """``verify_static`` runs its own tables with every static barrier
+        routed through the context assertion; on a program compiled for
+        its contexts it must observe exactly what the shared tables do."""
         for cfg in JITConfig:
-            with fastpath.configured(dispatch_table=True):
-                on = self._run(cfg)
-            with fastpath.configured(dispatch_table=False):
-                off = self._run(cfg)
-            assert on[0] == off[0], cfg
-            assert on[1] == off[1], cfg
-            assert on[2] == off[2], f"{cfg}: executed-instruction counts differ"
-            assert vars(on[3]) == vars(off[3]), cfg
+            plain = self._run(cfg)
+            verified = self._run(cfg, verify_static=True)
+            assert plain[0] == verified[0], cfg
+            assert plain[1] == verified[1], cfg
+            assert plain[2] == verified[2], f"{cfg}: executed counts differ"
+            assert vars(plain[3]) == vars(verified[3]), cfg
 
     def test_tables_are_built_and_reused(self):
         program, _ = compile_source(WORKLOAD, JITConfig.STATIC, inline=False)
@@ -308,8 +425,17 @@ class TestDispatchTable:
         assert program.exec_tables["sum"] is not stale
 
     def test_verify_static_bypasses_tables(self):
-        program, _ = compile_source(WORKLOAD, JITConfig.STATIC)
-        vm = LaminarVM(Kernel())
-        interp = Interpreter(program, vm, verify_static=True)
-        interp.run("main")
-        assert not program.exec_tables
+        """verify_static builds its own tables (static fast paths unbound)
+        and never touches the program's shared ones."""
+        program, _ = compile_source(WORKLOAD, JITConfig.STATIC, inline=False)
+        shared = Interpreter(program, LaminarVM(Kernel()))
+        shared.run("main")
+        tables = dict(program.exec_tables)
+        interp = Interpreter(program, LaminarVM(Kernel()), verify_static=True)
+        assert interp.run("main") == shared.run("main")
+        assert set(interp._tables) == {"main", "build", "sum"}
+        assert all(
+            interp._tables[k] is not tables[k] for k in tables
+        ), "verify_static reused a shared table"
+        assert program.exec_tables == tables
+        assert all(program.exec_tables[k] is tables[k] for k in tables)

@@ -3,8 +3,9 @@
 One random operation sequence — region entries/exits, barrier reads and
 writes, labeled allocation, kernel label changes, declassification via
 ``copy_and_label``, and raw flow/label-change checks — is executed twice
-on fresh kernels: once with every cache enabled and once with every cache
-disabled.  The traces (operation outcomes, exception types and messages),
+on fresh kernels: once with every cache warm, and once with every cache
+cold (every cache flushed before each operation, and the switchable OS
+layers off).  The traces (operation outcomes, exception types and messages),
 the audit logs, and the denial counters must be identical.  This is the
 ISSUE's required equivalence argument in randomized form: caching may
 only change *when* set algebra runs, never what any check decides.
@@ -52,8 +53,9 @@ def _label_for(tags, i, j):
     return choices[j % len(choices)]
 
 
-def _run_trace(ops: list[tuple[str, int, int]]) -> tuple:
-    """Execute ``ops`` on a fresh kernel/VM, recording every outcome."""
+def _run_trace(ops: list[tuple[str, int, int]], cold: bool = False) -> tuple:
+    """Execute ``ops`` on a fresh kernel/VM, recording every outcome;
+    ``cold`` flushes every fast-path cache before each operation."""
     kernel = Kernel(LaminarSecurityModule())
     vm = LaminarVM(kernel)
     api = LaminarAPI(vm)
@@ -71,6 +73,8 @@ def _run_trace(ops: list[tuple[str, int, int]]) -> tuple:
             trace.append((kind, type(exc).__name__, str(exc)))
 
     for kind, i, j in ops:
+        if cold:
+            fastpath.clear_caches()
         if kind == "enter":
             def enter(i=i):
                 region = vm.region(
@@ -159,11 +163,9 @@ def _run_trace(ops: list[tuple[str, int, int]]) -> tuple:
 def test_caches_never_change_outcomes(ops):
     every = fastpath.flags.as_dict()
     with fastpath.configured(**{name: True for name in every}):
-        fastpath.clear_caches()
         cached = _run_trace(ops)
     with fastpath.configured(**{name: False for name in every}):
-        fastpath.clear_caches()
-        uncached = _run_trace(ops)
+        uncached = _run_trace(ops, cold=True)
     assert cached[0] == uncached[0], "operation outcomes diverged"
     assert cached[1] == uncached[1], "audit logs diverged"
     assert cached[2] == uncached[2], "denial counters diverged"

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.bench.loadgen import UserWorld, build_trace, coalesced_plan
 from repro.core import Capability, CapabilitySet, CapType, Label, LabelPair
 from repro.core import fastpath
-from repro.core.fastpath import counters, flags
+from repro.core.fastpath import counters
 from repro.core.tags import Tag, TagAllocator
 from repro.osim import (
     AdaptiveCoalescer,
@@ -67,7 +67,6 @@ class TestLabelReinterning:
     @settings(max_examples=80, deadline=None)
     @given(tags=tags_strategy)
     def test_pickled_label_reinterns_to_same_identity(self, tags):
-        assert flags.label_interning  # default configuration
         label = Label.of(*tags)
         clone = pickle.loads(pickle.dumps(label))
         assert clone is label
