@@ -107,7 +107,9 @@ class Inode:
         return self.itype is InodeType.DIRECTORY
 
     def __repr__(self) -> str:
-        return f"Inode(ino={self.ino}, {self.itype.value}, labels={self.labels!r})"
+        # ``_value_`` is the member's plain attribute; ``.value`` would run
+        # enum's descriptor on every denial message.
+        return f"Inode(ino={self.ino}, {self.itype._value_}, labels={self.labels!r})"
 
 
 def encode_label(label: Label) -> bytes:
@@ -129,25 +131,30 @@ def decode_label(blob: bytes, allocator: TagAllocator) -> Label:
     return Label(tags)
 
 
-class OpenMode(enum.Flag):
-    READ = enum.auto()
-    WRITE = enum.auto()
-    APPEND = enum.auto()
-    CREATE = enum.auto()
+class OpenMode:
+    """Open-mode bits, a plain namespace of ``int`` constants.
+
+    The values are what ``enum.auto()`` would assign (1, 2, 4, 8), but
+    the bits are ints rather than an ``enum.Flag``: every open, read,
+    write and batched entry tests them, and ``Flag`` arithmetic costs a
+    class-level lookup and an instance construction per operation."""
+
+    READ = 1
+    WRITE = 2
+    APPEND = 4
+    CREATE = 8
 
     @classmethod
-    def parse(cls, mode: str) -> "OpenMode":
-        table = {
-            "r": cls.READ,
-            "w": cls.WRITE | cls.CREATE,
-            "a": cls.WRITE | cls.APPEND | cls.CREATE,
-            "r+": cls.READ | cls.WRITE,
-            "w+": cls.READ | cls.WRITE | cls.CREATE,
-        }
+    def parse(cls, mode: str) -> int:
         try:
-            return table[mode]
+            return _OPEN_MODES[mode]
         except KeyError:
             raise SyscallError(EINVAL, f"bad open mode {mode!r}") from None
+
+
+#: r = READ, w = WRITE|CREATE, a = WRITE|APPEND|CREATE, r+ = READ|WRITE,
+#: w+ = READ|WRITE|CREATE.
+_OPEN_MODES = {"r": 1, "w": 10, "a": 14, "r+": 3, "w+": 11}
 
 
 class File:
@@ -155,7 +162,7 @@ class File:
     offset + mode.  File-descriptor-level hooks (``file_permission``) take
     these, inode-level hooks take :class:`Inode`."""
 
-    def __init__(self, inode: Inode, mode: OpenMode) -> None:
+    def __init__(self, inode: Inode, mode: int) -> None:
         self.inode = inode
         self.mode = mode
         self.offset = 0

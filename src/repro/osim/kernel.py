@@ -70,7 +70,7 @@ TCB_TAG = Tag(0, "tcb")
 class Mapping:
     """A simulated memory mapping, for the lmbench mmap / prot-fault rows."""
 
-    def __init__(self, file: File, mask: Mask) -> None:
+    def __init__(self, file: File, mask: int) -> None:
         self.file = file
         self.mask = mask
         self.valid = True
@@ -756,7 +756,7 @@ class Kernel:
         self._count("open")
         self._require_alive(task)
         flags = OpenMode.parse(mode)
-        chain_op = ("open", flags.value)
+        chain_op = ("open", flags)
         inode = self.hookchain.lookup_path(chain_op, task, path)
         if inode is None:
             observed = self._walk_checked(task, path)
@@ -774,7 +774,7 @@ class Kernel:
                 inode = Inode(InodeType.REGULAR, labels)
                 self._journaled_link(parent, name, inode)  # type: ignore[arg-type]
                 created = True
-            mask = Mask(0)
+            mask = 0
             if flags & OpenMode.READ:
                 mask |= Mask.READ
             if flags & OpenMode.WRITE:
@@ -1231,7 +1231,7 @@ class Kernel:
 
     # -- memory (lmbench rows) ----------------------------------------------------------
 
-    def sys_mmap(self, task: Task, fd: int, mask: Mask = Mask.READ) -> Mapping:
+    def sys_mmap(self, task: Task, fd: int, mask: int = Mask.READ) -> Mapping:
         self._count("mmap")
         self._require_alive(task)
         file = task.lookup_fd(fd)

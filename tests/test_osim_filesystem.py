@@ -8,6 +8,9 @@ from repro.osim import (
     Filesystem,
     Inode,
     InodeType,
+    Kernel,
+    LaminarSecurityModule,
+    Mask,
     OpenMode,
     SyscallError,
     XATTR_INTEGRITY,
@@ -15,6 +18,8 @@ from repro.osim import (
     decode_label,
     encode_label,
 )
+from repro.osim.hookchain import COMPILE_THRESHOLD
+from repro.osim.task import EINVAL
 
 A, B = Tag(11, "a"), Tag(12, "b")
 
@@ -161,5 +166,28 @@ class TestOpenMode:
         assert OpenMode.parse("r+") & OpenMode.READ
 
     def test_bad_mode(self):
-        with pytest.raises(SyscallError):
+        with pytest.raises(SyscallError) as err:
             OpenMode.parse("rw+x")
+        assert err.value.errno == EINVAL
+        assert str(err.value) == "[EINVAL] bad open mode 'rw+x'"
+
+    def test_bits_are_plain_ints(self):
+        modes = [OpenMode.READ, OpenMode.WRITE, OpenMode.APPEND, OpenMode.CREATE]
+        masks = [Mask.READ, Mask.WRITE, Mask.EXEC]
+        assert modes == [1, 2, 4, 8] and masks == [1, 2, 4]
+        assert all(type(bit) is int for bit in modes + masks)
+
+    def test_parse_exact_values(self):
+        parsed = {m: OpenMode.parse(m) for m in ("r", "w", "a", "r+", "w+")}
+        assert parsed == {"r": 1, "w": 10, "a": 14, "r+": 3, "w+": 11}
+        assert all(type(bits) is int for bits in parsed.values())
+
+    def test_baked_open_chain_keyed_on_int_bits(self):
+        k = Kernel(LaminarSecurityModule())
+        task = k.spawn_task("p")
+        k.sys_close(task, k.sys_creat(task, "/tmp/f"))
+        for _ in range(COMPILE_THRESHOLD + 2):
+            k.sys_close(task, k.sys_open(task, "/tmp/f", "r"))
+        ops = [key[0] for key in k.hookchain._path_chains]
+        assert ops == [("open", 1)]
+        assert type(ops[0][1]) is int

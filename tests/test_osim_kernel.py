@@ -15,6 +15,7 @@ from repro.osim import (
     LaminarSecurityModule,
     Mask,
     NullSecurityModule,
+    Sqe,
     SyscallError,
     TCB_TAG,
 )
@@ -448,3 +449,57 @@ class TestPathWalkCache:
             k.sys_stat(task, "/tmp/wc6/f")
             k.sys_stat(task, "/tmp/wc6/f")
             assert fastpath.counters.walk_hits == before
+
+
+class TestHotPathAvoidsEnum:
+    """Open modes and access masks are plain ints: no syscall on the
+    file or pipe hot path, allowed or denied, calls into ``enum``."""
+
+    def _round(self, k, alice, mallory):
+        fd = k.sys_open(alice, "/tmp/f", "r+")
+        k.sys_write(alice, fd, b"data")
+        k.sys_lseek(alice, fd, 0)
+        assert k.sys_read(alice, fd, 4) == b"data"
+        batch = [Sqe("lseek", fd, 0), Sqe("read", fd, 2), Sqe("read", fd, 2)]
+        cqes = k.sys_submit(alice, batch + [Sqe("write", fd, b"!")])
+        assert [c.errno for c in cqes] == [0, 0, 0, 0]
+        assert [c.result for c in cqes[1:3]] == [b"da", b"ta"]
+        k.sys_close(alice, fd)
+        rfd, wfd = k.sys_pipe(alice)
+        k.sys_write(alice, wfd, b"msg")
+        assert k.sys_read(alice, rfd) == b"msg"
+        k.sys_close(alice, wfd)
+        k.sys_close(alice, rfd)
+        with pytest.raises(SyscallError) as err:
+            k.sys_open(mallory, "/tmp/secret", "r")
+        assert "EACCES" in str(err.value)
+
+    def test_no_enum_frames(self, k):
+        import sys
+
+        import repro.jit.tier2  # noqa: F401  (imported lazily at the first bake)
+        from repro.core import fastpath
+
+        alice = k.spawn_task("alice")
+        mallory = k.spawn_task("mallory")
+        tag, _ = k.sys_alloc_tag(alice, "a")
+        secret = LabelPair(Label.of(tag))
+        k.sys_close(alice, k.sys_create_file_labeled(alice, "/tmp/secret", secret))
+        k.sys_close(alice, k.sys_creat(alice, "/tmp/f"))
+        hits = fastpath.counters.hookchain_hits
+        enum_calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.endswith("enum.py"):
+                enum_calls.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            # Enough rounds to bake and then replay the hook chains.
+            for _ in range(12):
+                self._round(k, alice, mallory)
+        finally:
+            sys.setprofile(previous)
+        assert enum_calls == []
+        assert fastpath.counters.hookchain_hits > hits
