@@ -35,7 +35,11 @@ processes the way it overlaps across real cores).  The claims:
   single-threaded replay at every worker count (the workload includes
   denied transmits, silent pipe drops, and courier traffic, so the
   parity checks are not vacuous);
-* nonzero compiled-hook-chain activity (:mod:`repro.osim.hookchain`).
+* the kernel's verdict cache (:mod:`repro.osim.verdict_cache`) serves
+  walk verdicts in the fork workers.  This arm's server reads with
+  plain ``sys_read``, which always runs ``file_permission``, so its
+  permission hits are recorded but expected to be 0; the batched legacy
+  arm exercises them (``fastpath_counters``).
 
 Environment knobs for CI tiers: ``OS_MULTICORE_SMOKE=1`` runs a
 same-process (inline) 2-point sweep with parity checks only and does
@@ -44,7 +48,8 @@ not rewrite the JSON; ``OS_MULTICORE_WORKERS=N`` runs a fork sweep at
 
 Machine-readable results land in ``BENCH_os_throughput.json`` at the
 repository root, including a :mod:`repro.core.fastpath` counter snapshot
-(which carries the ``hookchain_*`` counters).
+(which carries the verdict cache's ``walk_*`` and ``hookchain_*``
+counters).
 """
 
 from __future__ import annotations
@@ -189,7 +194,7 @@ def _measure_multicore() -> dict:
     base_obs = baseline.observables()
 
     elapsed: dict[int, float] = {}
-    hookchain: Counter = Counter()
+    verdicts: Counter = Counter()
     audit_parity = traffic_parity = True
     for workers in sweep_counts:
         best = None
@@ -210,9 +215,12 @@ def _measure_multicore() -> dict:
             agg = ps.aggregate()
             if best is None or ps.elapsed < best:
                 best = ps.elapsed
-                for key in ("hookchain_compiles", "hookchain_hits",
-                            "hookchain_deopts"):
-                    hookchain[key] = agg["fastpath"].get(key, 0)
+                fp = agg["fastpath"]
+                verdicts["walk_hits"] = fp.get("walk_hits", 0)
+                verdicts["permission_hits"] = fp.get(
+                    "hookchain_hits", 0
+                ) - fp.get("walk_hits", 0)
+                verdicts["deopts"] = fp.get("hookchain_deopts", 0)
         elapsed[workers] = best
 
     scaling = {w: baseline.elapsed / t for w, t in elapsed.items()}
@@ -237,9 +245,8 @@ def _measure_multicore() -> dict:
         "scaling_ratio_8x": scaling.get(8),
         "audit_parity": audit_parity,
         "traffic_parity": traffic_parity,
-        "hookchain": dict(hookchain),
-        "hookchain_active": hookchain["hookchain_compiles"] > 0
-        and hookchain["hookchain_hits"] > 0,
+        "verdict_cache": dict(verdicts),
+        "verdict_cache_active": verdicts["walk_hits"] > 0,
     }
 
 
@@ -249,18 +256,12 @@ def sweep():
     fastpath.counters.reset()
     results: dict[str, dict] = {}
     scaling: dict[str, dict[int, float]] = {name: {} for name in CONFIGS}
-    # Ablation hygiene: the three legacy configs isolate *batching*, so
-    # they run with hook-chain compilation off — otherwise the compiled
-    # chains speed up the sequential arm and the batched/sequential
-    # ratio stops measuring batching.  The multi-core arm below runs
-    # with default flags and reports the hook-chain counters.
-    with fastpath.configured(hook_chain_compile=False):
-        for name in CONFIGS:
-            for users in USER_SWEEP:
-                measured = _measure(name, users)
-                scaling[name][users] = measured["ops_per_sec"]
-                if users == MAIN_USERS:
-                    results[name] = measured
+    for name in CONFIGS:
+        for users in USER_SWEEP:
+            measured = _measure(name, users)
+            scaling[name][users] = measured["ops_per_sec"]
+            if users == MAIN_USERS:
+                results[name] = measured
 
     multicore = _measure_multicore()
 
@@ -336,9 +337,9 @@ def sweep():
         f"({multicore['audit_entries']} entries)",
         f"  traffic parity:   {multicore['traffic_parity']} "
         f"({multicore['traffic_messages']} messages)",
-        f"  hook chains:      {multicore['hookchain'].get('hookchain_compiles', 0)} "
-        f"compiled, {multicore['hookchain'].get('hookchain_hits', 0)} hits, "
-        f"{multicore['hookchain'].get('hookchain_deopts', 0)} deopts",
+        f"  verdict cache:    {multicore['verdict_cache'].get('walk_hits', 0)} "
+        f"walk hits, {multicore['verdict_cache'].get('permission_hits', 0)} "
+        f"permission hits, {multicore['verdict_cache'].get('deopts', 0)} deopts",
     ]
     publish("os_throughput", "\n".join(lines))
     return payload
@@ -374,7 +375,7 @@ def test_json_report_written(sweep):
     assert payload["batched_speedup"] >= 2.0
     assert "fastpath_counters" in payload
     assert "walk_hits" in payload["fastpath_counters"]
-    assert "hookchain_compiles" in payload["fastpath_counters"]
+    assert "hookchain_hits" in payload["fastpath_counters"]
     assert "multicore" in payload
 
 
@@ -393,11 +394,15 @@ def test_multicore_audit_and_traffic_parity(sweep):
     assert mc["ops"] == MC_USERS * MC_REQUESTS * MC_CHUNKS
 
 
-def test_multicore_hook_chains_engaged(sweep):
+def test_multicore_verdict_cache_active(sweep):
+    """The fork workers' kernels serve walk verdicts from their
+    verdict caches, and the batched legacy arm's kernels serve
+    permission verdicts from theirs."""
     mc = sweep["multicore"]
-    assert mc["hookchain_active"] is True
-    assert mc["hookchain"]["hookchain_compiles"] > 0
-    assert mc["hookchain"]["hookchain_hits"] > 0
+    assert mc["verdict_cache_active"] is True
+    assert mc["verdict_cache"]["walk_hits"] > 0
+    counters = sweep["fastpath_counters"]
+    assert counters["hookchain_hits"] > counters["walk_hits"]
 
 
 def test_multicore_scaling(sweep):

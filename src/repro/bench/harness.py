@@ -89,15 +89,13 @@ def render_table(
     return "\n".join(lines)
 
 
-def fastpath_snapshot() -> dict[str, int | bool]:
-    """Counter + flag state of every :mod:`repro.core.fastpath` cache
-    layer, for embedding in ``BENCH_*.json`` payloads — every published
-    measurement records how much of it the caches absorbed."""
+def fastpath_snapshot() -> dict[str, int]:
+    """Counter state of every :mod:`repro.core.fastpath` cache layer, for
+    embedding in ``BENCH_*.json`` payloads — every published measurement
+    records how much of it the caches absorbed."""
     from ..core import fastpath
 
-    out: dict[str, int | bool] = dict(fastpath.counters.snapshot())
-    out.update({f"flag_{k}": v for k, v in vars(fastpath.flags).items()})
-    return out
+    return fastpath.counters.snapshot()
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -1,10 +1,9 @@
-"""Fast-path switches, caches and counters for the label-check hot path.
+"""Fast-path caches and counters for the label-check hot path.
 
 The paper's performance story (Section 5.1) rests on labels being
 immutable objects that are "freely shared between objects, security
 regions, and threads", which makes barrier checks cheap comparisons.
-The VM-side fast paths built on that fact are structural, with no
-switch:
+Every fast path built on that fact is plain code, with no switch:
 
 * hash-consed :class:`~repro.core.labels.Label` construction (one
   canonical instance per tag-set, up to ``labels._INTERN_BOUND``) plus
@@ -13,61 +12,35 @@ switch:
   the four component labels, which every VM barrier and the OS
   security module consult.  It never needs invalidation: labels are
   immutable, so a (source, dest) pair's verdict can never change;
-* the interpreter's per-method handler tables (:mod:`repro.jit.interpreter`).
-
-This module owns the caches' common flush (:func:`clear_caches`), the
-counters the benchmarks read, and the two OS-side switches on
-:data:`flags`:
-
-``path_walk_cache``
-    The kernel's per-task path-walk verdict cache
-    (:meth:`repro.osim.kernel.Kernel._walk_checked`): a successful
-    LSM-checked traversal of a directory prefix is recorded under the
-    task's label epoch and replayed as one dict hit (hook counters are
-    replayed too, so the observable record is identical).  Entries are
-    revalidated against the traversed inodes' label identities and the
-    kernel's namespace generation, so relabels, unlinks, and label
-    changes can never resurrect a stale allow.
-``hook_chain_compile``
-    Hot (walk prefix, permission hook) chains baked into exec-generated
-    closures (:mod:`repro.osim.hookchain`).
+* the interpreter's per-method handler tables (:mod:`repro.jit.interpreter`);
+* each kernel's verdict cache of successful LSM walk and
+  file-permission checks (:mod:`repro.osim.verdict_cache`).
 
 Every fast path is pure performance: verdicts, audit entries, and
-violation counts are identical with caches warm, cold, or switched off
-(asserted by ``tests/test_property_fastpath.py``).
+violation counts are identical with caches warm or cold (asserted by
+``tests/test_property_fastpath.py``, whose reference arm flushes every
+cache before each operation and runs a security module the kernel's
+verdict cache never serves).
 
-Counters deliberately distinguish *requested* checks (which the
+This module owns the process-wide caches' common flush
+(:func:`clear_caches`) and the counters the benchmarks read.  Counters
+deliberately distinguish *requested* checks (which the
 :class:`~repro.runtime.barriers.BarrierStats` counters keep tracking
 unconditionally) from *executed* set algebra — the work the caches
 elide (``counters.set_ops``).
 
-The tier-2 template JIT (:mod:`repro.jit.tier2`) is not a flag here — it
-is enabled per-program via ``Compiler(tier="jit")`` — but its code cache
-registers a :func:`register_cache` hook: every :func:`configure` /
-:func:`clear_caches` bumps the tier-2 code epoch, discarding compiled
-bodies whose baked-in interned label identities may no longer be
-canonical.  Its ``tier2_*`` counters live here so the benchmark
-snapshots carry them.
+The tier-2 template JIT (:mod:`repro.jit.tier2`) is enabled
+per-program via ``Compiler(tier="jit")``, but its code cache registers a
+:func:`register_cache` hook: every :func:`clear_caches` bumps the tier-2
+code epoch, discarding compiled bodies whose baked-in interned label
+identities may no longer be canonical.  Its ``tier2_*`` counters live
+here so the benchmark snapshots carry them.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator
-
-
-@dataclass
-class FastPathFlags:
-    """The OS-side switchable cache layers (both on by default)."""
-
-    path_walk_cache: bool = True
-    #: Tier-2 for the OS: bake hot (walk prefix, permission hook) chains
-    #: into exec-generated closures (:mod:`repro.osim.hookchain`).
-    hook_chain_compile: bool = True
-
-    def as_dict(self) -> dict[str, bool]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+from typing import Callable
 
 
 @dataclass
@@ -103,10 +76,10 @@ class FastPathCounters:
     tier2_deopts: int = 0
     tier2_clones: int = 0
     tier2_invalidations: int = 0
-    #: Hook-chain engine traffic (:mod:`repro.osim.hookchain`): chains
-    #: baked into closures, verdicts replayed from a baked chain, and
-    #: guard failures that discarded a chain and re-ran the full hooks.
-    hookchain_compiles: int = 0
+    #: Kernel verdict cache (:mod:`repro.osim.verdict_cache`): every
+    #: replayed walk or file-permission verdict, and every entry dropped
+    #: because a checked inode's label identity changed.  ``walk_hits`` /
+    #: ``walk_misses`` above count its walk lookups alone.
     hookchain_hits: int = 0
     hookchain_deopts: int = 0
     #: Wire data plane (:mod:`repro.osim.lamwire`): frames encoded and
@@ -137,10 +110,6 @@ class FastPathCounters:
         return out
 
 
-#: Process-wide switch state.  Mutate through :func:`configure` (or the
-#: :func:`configured` context manager) so caches are flushed coherently.
-flags = FastPathFlags()
-
 #: Process-wide counters.  Reset with ``counters.reset()``.
 counters = FastPathCounters()
 
@@ -158,29 +127,3 @@ def clear_caches() -> None:
     """Empty every registered cache (intern table, memos, verdict AVC)."""
     for clear in _cache_clearers:
         clear()
-
-
-def configure(**switches: bool) -> None:
-    """Set cache-layer switches by name and flush all caches.
-
-    Flushing on every reconfiguration keeps ablation arms independent:
-    an arm with a layer off cannot ride on entries a previous arm
-    populated.
-    """
-    for name, value in switches.items():
-        if not hasattr(flags, name):
-            raise ValueError(f"unknown fast-path switch {name!r}")
-        setattr(flags, name, bool(value))
-    clear_caches()
-
-
-@contextmanager
-def configured(**switches: bool) -> Iterator[FastPathFlags]:
-    """Temporarily reconfigure the cache layers (ablation arms, tests)."""
-    saved = flags.as_dict()
-    configure(**switches)
-    try:
-        yield flags
-    finally:
-        configure(**saved)
-

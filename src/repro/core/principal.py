@@ -37,9 +37,10 @@ class Principal:
         self._labels = labels
         self._caps = caps
         #: Monotonic counter bumped on every label change.  The kernel's
-        #: path-walk cache and compiled hook chains key their validity on
-        #: this, so a ``set_task_label``/TCB label write implicitly
-        #: invalidates any verdicts cached under the old labels.
+        #: verdict cache keys its entries on this, so a
+        #: ``set_task_label``/TCB label write implicitly invalidates any
+        #: verdicts cached under the old labels.  A rebuilt principal
+        #: starts again at 0; replication empties the cache for that.
         self.label_epoch = 0
 
     # -- read side --------------------------------------------------------

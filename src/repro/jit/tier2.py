@@ -48,9 +48,9 @@ Cache invalidation
     Entries are validated per :meth:`Interpreter.run` against the
     program's shape stamp (IR passes mutate methods in place) and a
     module-wide *code epoch* bumped by every
-    :func:`repro.core.fastpath.clear_caches` /
-    :func:`~repro.core.fastpath.configure` — compiled bodies bake interned
-    label identities, so a fastpath flush discards them wholesale.
+    :func:`repro.core.fastpath.clear_caches` — compiled bodies bake
+    interned label identities, so a fastpath flush discards them
+    wholesale.
 """
 
 from __future__ import annotations
@@ -684,12 +684,11 @@ def bake_closure(source: str, bindings: dict, entry: str, filename: str):
     """Exec-compile generated ``source`` with constants pre-bound as its
     globals and return the ``entry`` function.
 
-    The tier-2 template compiler and the OS hook-chain compiler
-    (:mod:`repro.osim.hookchain`) share this step: both emit plain
-    Python whose free names are baked constants (interned labels, inode
-    references, handler tables), so the generated code runs with zero
-    per-call environment lookups beyond the globals dict.  ``bindings``
-    is copied — callers may reuse their template dictionaries.
+    The template compiler is its only caller: it emits plain Python
+    whose free names are baked constants (interned labels, handler
+    tables), so the generated code runs with zero per-call environment
+    lookups beyond the globals dict.  ``bindings`` is copied — callers
+    may reuse their template dictionaries.
     """
     glob = dict(bindings)
     exec(compile(source, filename, "exec"), glob)

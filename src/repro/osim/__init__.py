@@ -12,7 +12,8 @@ The throughput layer lives in :mod:`.sched` (cooperative scheduler with
 label-oblivious blocking I/O), :meth:`.kernel.Kernel.sys_submit`
 (io_uring-style batched submission), :mod:`.psched` (parallel scheduler
 backend partitioning task groups across a fork worker pool), and
-:mod:`.hookchain` (tier-2 compilation of hot LSM hook chains).  Scale-out
+:mod:`.verdict_cache` (the kernel's one cache of successful LSM walk
+and file-permission verdicts).  Scale-out
 lives in :mod:`.cluster` (sharded multi-kernel deployments behind a
 label-aware router), :mod:`.rpc` (the inter-shard message surface), and
 :mod:`.lamwire` (the zero-copy binary data plane: schema'd codec,
@@ -33,7 +34,6 @@ from .cluster import (
     tier_can_hold,
 )
 from .faults import FaultKind, FaultPlan, FaultRule, KernelCrash
-from .hookchain import HookChainEngine
 from .filesystem import (
     BLOCK_SIZE,
     File,
@@ -129,6 +129,7 @@ from .task import (
     SyscallError,
     Task,
 )
+from .verdict_cache import VerdictCache
 
 __all__ = [
     "AdaptiveCoalescer",
@@ -161,7 +162,6 @@ __all__ = [
     "Filesystem",
     "GroupHandle",
     "GroupResult",
-    "HookChainEngine",
     "Inode",
     "InodeType",
     "Journal",
@@ -198,6 +198,7 @@ __all__ = [
     "TagSync",
     "Task",
     "TrafficLog",
+    "VerdictCache",
     "WIRE_MODES",
     "WorkerReport",
     "XATTR_INTEGRITY",

@@ -29,8 +29,9 @@ image with its own LSM, filesystem, and audit log, fronted by a
 * The shared namespaces replicate by epoch-stamped frames —
   :meth:`Cluster.sync_tags` (interned-tag namespace) and
   :meth:`Cluster.sync_caps` (capability stores) — and every applied
-  ``CapSync`` bumps the receiving kernel's ``fd_epoch``, orphaning
-  permission memos recorded under the pre-replication state.  Both
+  ``CapSync`` bumps the receiving kernel's ``fd_epoch`` and empties its
+  verdict cache, so no verdict proved before the event is replayed
+  after it.  Both
   planes are **delta-encoded** against a per-peer high-water mark: a
   shard that already acknowledged tag values below ``v`` is never sent
   them again, and a principal whose (labels, capabilities) state is
@@ -594,9 +595,9 @@ class Cluster:
         CapabilitySet) triples — to every shard, **delta-encoded**: a
         principal whose state matches what the shard last applied is
         omitted.  The frame itself is always sent (even empty): each
-        applied ``CapSync`` bumps the shard's ``fd_epoch``, orphaning
-        pre-replication memos, and that epoch discipline must not depend
-        on how much state happened to change."""
+        applied ``CapSync`` bumps the shard's ``fd_epoch`` and empties its
+        verdict cache, and that epoch discipline must not depend on how
+        much state happened to change."""
         self._sync_epoch += 1
         principals = tuple(principals)
         wave = []

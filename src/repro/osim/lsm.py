@@ -305,9 +305,9 @@ class LeakySecurityModule(LaminarSecurityModule):
     has gone blind.
 
     Overriding ``inode_permission``/``file_permission`` also drops this
-    module out of :data:`_PURE_HOOK_IMPLS`, so the hook-chain compiler,
-    walk cache, and permission memo all disable themselves — the leak is
-    observed through the real hook bodies on every call.
+    module out of :data:`_PURE_HOOK_IMPLS`, so the kernel's verdict cache
+    never serves it — the leak is observed through the real hook bodies
+    on every call.
     """
 
     name = "laminar-leaky"
@@ -364,11 +364,11 @@ class LeakySecurityModule(LaminarSecurityModule):
 
 #: Hook implementations whose verdict is a pure function of the interned
 #: (task labels, object labels) pair — the soundness condition for the
-#: hook-chain compiler (:mod:`repro.osim.hookchain`) to replay an allow
-#: verdict without re-running the hook body.  A subclass that overrides
-#: one of these hooks (extra state, side effects, ambient conditions)
-#: drops out of the set and its chains are never baked — same discipline
-#: as the kernel's ``_walk_cacheable`` / ``_perm_memo_ok`` checks.
+#: kernel's verdict cache (:mod:`repro.osim.verdict_cache`) to replay an
+#: allow without re-running the hook body.  A subclass that overrides one
+#: of these hooks (extra state, side effects, ambient conditions, or just
+#: a pass-through) drops out of the set, and its verdicts are never
+#: cached.
 _PURE_HOOK_IMPLS: dict[str, tuple] = {
     "inode_permission": (
         SecurityModule.inode_permission,
@@ -378,15 +378,12 @@ _PURE_HOOK_IMPLS: dict[str, tuple] = {
         SecurityModule.file_permission,
         LaminarSecurityModule.file_permission,
     ),
-    "inode_getattr": (
-        SecurityModule.inode_getattr,
-        LaminarSecurityModule.inode_getattr,
-    ),
 }
 
 
-def chain_bakeable_hooks(module: SecurityModule) -> frozenset[str]:
-    """Names of ``module``'s hooks safe to bake into compiled chains."""
+def cacheable_hooks(module: SecurityModule) -> frozenset[str]:
+    """Names of ``module``'s hooks whose allows the verdict cache may
+    replay."""
     cls = type(module)
     return frozenset(
         name

@@ -26,8 +26,8 @@ boundary:
   security fields), both epoch-stamped: a shard rejects any sync frame
   not newer than what it already applied, so re-delivery and reordering
   are harmless, and every applied ``CapSync`` bumps the kernel's
-  ``fd_epoch`` so stale permission memos can never be replayed across
-  replication lag.
+  ``fd_epoch`` and empties its verdict cache, so stale allows can never
+  be replayed across replication lag.
 * **Deterministic observables** — each :class:`ShardResponse` carries
   the audit-entry and traffic-log *deltas* its request produced, stamped
   with the router-assigned global sequence number.  The cluster merges

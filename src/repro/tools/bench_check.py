@@ -84,7 +84,7 @@ SPECS: tuple[BenchSpec, ...] = (
             "multicore.audit_entries",
             "multicore.pipe_drops",
             "multicore.denials",
-            "multicore.hookchain_active",
+            "multicore.verdict_cache_active",
         ),
         tolerance=0.30,
     ),

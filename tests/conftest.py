@@ -54,6 +54,20 @@ def _region_swallowed_failures(monkeypatch):
         )
 
 
+class PassThroughSecurityModule(LaminarSecurityModule):
+    """The Laminar module with its cacheable hooks re-declared as
+    pass-throughs: every verdict, audit entry and hook count is the
+    same, but the kernel's verdict cache never serves a module that
+    overrides them, so every check runs the real hook.  The uncached
+    reference for cache-parity tests."""
+
+    def inode_permission(self, task, inode, mask):
+        super().inode_permission(task, inode, mask)
+
+    def file_permission(self, task, file, mask):
+        super().file_permission(task, file, mask)
+
+
 @pytest.fixture
 def kernel() -> Kernel:
     return Kernel(LaminarSecurityModule())

@@ -1,8 +1,8 @@
 """The label fast paths: interning, the verdict cache, dispatch tables.
 
 Interning, the ``union``/``difference`` memo, the flow-verdict cache and
-the interpreter's handler tables are structural (no switch); the OS-side
-layers stay switchable through :mod:`repro.core.fastpath`.  None may
+the interpreter's handler tables are structural, with no switch (the
+kernel's verdict cache has its own suite, ``test_hookchain.py``).  None may
 change a security verdict, and each must be invalidation-free by
 construction or invalidated exactly as its soundness argument requires.
 These are the fast tier-1 smoke tests; the randomized warm-vs-cold
@@ -285,21 +285,6 @@ class TestFlowVerdictCache:
             vm.barriers.read_barrier(thread, header)
             assert fastpath.counters.verdict_hits == hits + 2
             assert stats.label_checks == checks + 2
-
-    def test_configure_rejects_unknown_switch(self):
-        with pytest.raises(ValueError):
-            fastpath.configure(warp_drive=True)
-
-    def test_configured_restores_flags(self):
-        assert fastpath.flags.path_walk_cache
-        with fastpath.configured(path_walk_cache=False):
-            assert not fastpath.flags.path_walk_cache
-        assert fastpath.flags.path_walk_cache
-
-    def test_only_os_switches_remain(self):
-        assert set(fastpath.flags.as_dict()) == {
-            "path_walk_cache", "hook_chain_compile",
-        }
 
 
 WORKLOAD = """

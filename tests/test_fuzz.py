@@ -28,7 +28,7 @@ from repro.osim import Kernel
 from repro.osim.lsm import (
     LaminarSecurityModule,
     LeakySecurityModule,
-    chain_bakeable_hooks,
+    cacheable_hooks,
 )
 from repro.tools.lamc import main as lamc_main
 
@@ -179,13 +179,13 @@ class TestLeakyModule:
             LeakySecurityModule("timing")
 
     def test_overridden_hooks_are_not_bakeable(self):
-        # The hook-chain compiler must refuse to bake the overridden
-        # permission hooks — otherwise a baked allow-verdict would mask
+        # The kernel's verdict cache must never serve the overridden
+        # permission hooks — otherwise a cached allow-verdict would mask
         # the planted leak (and, symmetrically, could mask a real bug).
         leaky = LeakySecurityModule("file-read")
-        assert "inode_permission" not in chain_bakeable_hooks(leaky)
-        assert "file_permission" not in chain_bakeable_hooks(leaky)
-        assert chain_bakeable_hooks(LaminarSecurityModule()) >= {
+        assert "inode_permission" not in cacheable_hooks(leaky)
+        assert "file_permission" not in cacheable_hooks(leaky)
+        assert cacheable_hooks(LaminarSecurityModule()) >= {
             "inode_permission",
             "file_permission",
         }

@@ -8,8 +8,6 @@ from repro.osim import (
     Filesystem,
     Inode,
     InodeType,
-    Kernel,
-    LaminarSecurityModule,
     Mask,
     OpenMode,
     SyscallError,
@@ -18,7 +16,6 @@ from repro.osim import (
     decode_label,
     encode_label,
 )
-from repro.osim.hookchain import COMPILE_THRESHOLD
 from repro.osim.task import EINVAL
 
 A, B = Tag(11, "a"), Tag(12, "b")
@@ -181,13 +178,3 @@ class TestOpenMode:
         parsed = {m: OpenMode.parse(m) for m in ("r", "w", "a", "r+", "w+")}
         assert parsed == {"r": 1, "w": 10, "a": 14, "r+": 3, "w+": 11}
         assert all(type(bits) is int for bits in parsed.values())
-
-    def test_baked_open_chain_keyed_on_int_bits(self):
-        k = Kernel(LaminarSecurityModule())
-        task = k.spawn_task("p")
-        k.sys_close(task, k.sys_creat(task, "/tmp/f"))
-        for _ in range(COMPILE_THRESHOLD + 2):
-            k.sys_close(task, k.sys_open(task, "/tmp/f", "r"))
-        ops = [key[0] for key in k.hookchain._path_chains]
-        assert ops == [("open", 1)]
-        assert type(ops[0][1]) is int

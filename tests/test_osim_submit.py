@@ -295,9 +295,9 @@ class TestVectoredIO:
 
 
 class TestSubmitMemoEpochs:
-    """The persistent allowed-verdict memo keys on (shard, fd-epoch): a
-    verdict proved on one shard, or before a replication event landed,
-    must be unreachable afterwards."""
+    """Batched permission verdicts come from the kernel's one verdict
+    cache: per kernel, so a verdict proved on one shard is never
+    replayed on another, and emptied by every fresh replication event."""
 
     def _booted(self, shard_id: int = 0):
         Inode._ino_counter = itertools.count(1)
@@ -307,47 +307,56 @@ class TestSubmitMemoEpochs:
         return kernel, task, fd
 
     def test_memo_keys_carry_shard_and_fd_epoch(self):
+        from repro.core import fastpath
+
         kernel, task, fd = self._booted(shard_id=7)
-        kernel.sys_submit(task, [Sqe("write", fd, b"x")])
-        assert kernel._submit_memo
-        for key in kernel._submit_memo:
-            shard, fd_epoch, tid, label_epoch, _inode, _is_write = key
-            assert shard == 7
-            assert fd_epoch == kernel.fd_epoch == 0
-            assert tid == task.tid
-            assert label_epoch == task.security.label_epoch
-        # The same verdict proved on a different shard lives under a
-        # different key: migrated memo state can never collide.
+        batch = [Sqe("write", fd, b"x")]
+        kernel.sys_submit(task, batch)
+        hits = fastpath.counters.hookchain_hits
+        kernel.sys_submit(task, batch)
+        assert fastpath.counters.hookchain_hits == hits + 1
+        assert kernel.security.hook_calls["file_permission"] == 2
+        # The same verdict on a different shard is proved there afresh:
+        # the twin kernel's first write runs its own hook.
         other, task2, fd2 = self._booted(shard_id=8)
         other.sys_submit(task2, [Sqe("write", fd2, b"x")])
-        assert not (set(kernel._submit_memo) & set(other._submit_memo))
+        assert fastpath.counters.hookchain_hits == hits + 1
+        assert other.security.hook_calls["file_permission"] == 1
+        # A replication event empties the cache: the next write is
+        # checked again, then cached again.
+        assert kernel.apply_replication(1)
+        kernel.sys_submit(task, batch)
+        assert fastpath.counters.hookchain_hits == hits + 1
+        kernel.sys_submit(task, batch)
+        assert fastpath.counters.hookchain_hits == hits + 2
+        assert kernel.security.hook_calls["file_permission"] == 4
 
     def test_memo_not_replayed_across_replication_lag(self):
-        """The ISSUE's directed scenario: a memo recorded before a
-        capability-store replication event must not replay after it.
+        """A verdict cached before a capability-store replication event
+        must not replay after it.
 
         The sharp case: replication *rebuilds* the principal's security
         field from the wire image, so the rebuilt ``label_epoch`` restarts
-        at exactly the value the memo was recorded under, and the inode's
-        label object is untouched — neither the epoch in the key nor the
-        identity revalidation can catch the change.  Only the fd-epoch
-        component (bumped by ``apply_replication``) keeps the stale allow
-        verdict unreachable."""
-        from repro.core import CapabilitySet
+        at exactly the value the entry was keyed on, and the inode's label
+        object is untouched — neither the epoch in the key nor the
+        identity check can catch the change.  Only the invalidation on
+        ``apply_replication`` keeps the stale allow unreachable."""
+        from repro.core import CapabilitySet, fastpath
         from repro.core.principal import Principal
 
         kernel, task, fd = self._booted()
         kernel.sys_submit(task, [Sqe("write", fd, b"x")])
         hooks = kernel.security.hook_calls["file_permission"]
+        hits = fastpath.counters.hookchain_hits
         kernel.sys_submit(task, [Sqe("write", fd, b"x")])
-        # Replay accounting: the memo hit still counts the hook.
+        # Replay accounting: the cache hit still counts the hook.
         assert kernel.security.hook_calls["file_permission"] == hooks + 1
-        assert kernel._submit_memo
+        assert fastpath.counters.hookchain_hits == hits + 1
 
         # Replication lands: the authoritative capability store says gw is
         # now tainted with a secrecy tag it cannot shed.  The sync path
         # materializes a fresh Principal from the frame — label_epoch
-        # restarts at 0, colliding with the epoch the memo recorded.
+        # restarts at 0, colliding with the epoch the entry was keyed on.
         tag = kernel.tags.alloc("s")
         assert task.security.label_epoch == 0
         task.security = Principal(
@@ -359,8 +368,8 @@ class TestSubmitMemoEpochs:
 
         denials = len(kernel.audit.denials())
         cqes = kernel.sys_submit(task, [Sqe("write", fd, b"x")])
-        # Without the (shard, fd-epoch) keying this replays the stale
-        # allow; with it, the full hook runs and denies the write-down.
+        # Without the invalidation this replays the stale allow; with it,
+        # the full hook runs and denies the write-down.
         assert cqes[0].errno == EACCES
         assert len(kernel.audit.denials()) == denials + 1
 

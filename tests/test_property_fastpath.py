@@ -4,11 +4,12 @@ One random operation sequence — region entries/exits, barrier reads and
 writes, labeled allocation, kernel label changes, declassification via
 ``copy_and_label``, and raw flow/label-change checks — is executed twice
 on fresh kernels: once with every cache warm, and once with every cache
-cold (every cache flushed before each operation, and the switchable OS
-layers off).  The traces (operation outcomes, exception types and messages),
-the audit logs, and the denial counters must be identical.  This is the
-ISSUE's required equivalence argument in randomized form: caching may
-only change *when* set algebra runs, never what any check decides.
+cold (every process-wide cache flushed before each operation, on a kernel
+whose pass-through security module its verdict cache never serves).  The
+traces (operation outcomes, exception types and messages), the audit
+logs, and the denial counters must be identical.  This is the
+equivalence argument in randomized form: caching may only change
+*when* set algebra runs, never what any check decides.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core import (
 )
 from repro.osim import Kernel, LaminarSecurityModule
 from repro.runtime import LaminarAPI, LaminarVM
+from tests.conftest import PassThroughSecurityModule
 
 N_TAGS = 3  # owned tags; one extra unowned tag exercises denial paths
 
@@ -55,8 +57,9 @@ def _label_for(tags, i, j):
 
 def _run_trace(ops: list[tuple[str, int, int]], cold: bool = False) -> tuple:
     """Execute ``ops`` on a fresh kernel/VM, recording every outcome;
-    ``cold`` flushes every fast-path cache before each operation."""
-    kernel = Kernel(LaminarSecurityModule())
+    ``cold`` flushes every fast-path cache before each operation and
+    runs the uncached reference security module."""
+    kernel = Kernel(PassThroughSecurityModule() if cold else LaminarSecurityModule())
     vm = LaminarVM(kernel)
     api = LaminarAPI(vm)
     tags = [api.create_and_add_capability(f"t{i}") for i in range(N_TAGS)]
@@ -161,11 +164,9 @@ def _run_trace(ops: list[tuple[str, int, int]], cold: bool = False) -> tuple:
 @settings(max_examples=40, deadline=None)
 @given(operations)
 def test_caches_never_change_outcomes(ops):
-    every = fastpath.flags.as_dict()
-    with fastpath.configured(**{name: True for name in every}):
-        cached = _run_trace(ops)
-    with fastpath.configured(**{name: False for name in every}):
-        uncached = _run_trace(ops, cold=True)
+    fastpath.clear_caches()
+    cached = _run_trace(ops)
+    uncached = _run_trace(ops, cold=True)
     assert cached[0] == uncached[0], "operation outcomes diverged"
     assert cached[1] == uncached[1], "audit logs diverged"
     assert cached[2] == uncached[2], "denial counters diverged"
